@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ntt_core::engine::{NttExecutor, ThreadPolicy};
-use ntt_core::{ct, radix, stockham, NttTable, RnsPoly, RnsRing};
+use ntt_core::{ct, radix, NttTable, RnsPoly, RnsRing};
 use std::hint::black_box;
 
 fn input(n: usize, p: u64) -> Vec<u64> {
@@ -32,9 +32,6 @@ fn bench_forward_variants(c: &mut Criterion) {
                 ct::ntt_lazy(black_box(&mut x), &table);
                 x
             })
-        });
-        g.bench_with_input(BenchmarkId::new("stockham", log_n), &a, |b, a| {
-            b.iter(|| stockham::stockham_ntt(black_box(a), &table))
         });
         g.bench_with_input(BenchmarkId::new("high_radix_16", log_n), &a, |b, a| {
             b.iter(|| {

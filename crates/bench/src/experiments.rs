@@ -228,7 +228,9 @@ pub fn fig9(log_n: u32, np: usize, k1_sizes: &[usize]) -> Vec<Measurement> {
                 time_us: k1_us,
                 per_ntt_us: k1_us / np as f64,
                 dram_mb: rep.launches[0].dram_bytes(&gpu.config) as f64 / (1 << 20) as f64,
-                utilization: 0.0,
+                utilization: rep.launches[0]
+                    .timing
+                    .dram_utilization(rep.launches[0].dram_bytes(&gpu.config), &gpu.config),
                 occupancy: rep.launches[0].timing.occupancy,
             });
         }
@@ -1320,17 +1322,32 @@ fn sharding_params(log_n: u32, levels: usize) -> he_lite::HeLiteParams {
 }
 
 /// The serving chain body shared by every sweep configuration: `jobs`
-/// seeded encrypt → multiply/relinearize → rescale → decrypt chains,
+/// seeded encrypt → multiply/relinearize/rescale → decrypt chains,
 /// returning the decoded results (the bit-exactness digest).
+///
+/// # Panics
+///
+/// Panics if a decoded coefficient departs from the exact product by
+/// 1e-2 or more.
 fn sharding_run(ctx: &he_lite::HeContext, keys: &he_lite::KeySet, jobs: usize) -> Vec<Vec<f64>> {
     (0..jobs)
         .map(|j| {
             let mut rng = he_lite::sampling::seeded_rng(100 + j as u64);
-            let a = ctx.encrypt(&ctx.encode(&[1.0 + j as f64, -0.5]), &keys.public, &mut rng);
-            let b = ctx.encrypt(&ctx.encode(&[2.0, 0.25 * j as f64]), &keys.public, &mut rng);
-            let mut prod = ctx.multiply(&a, &b, &keys.relin);
-            ctx.rescale(&mut prod);
-            ctx.decode(&ctx.decrypt(&prod, &keys.secret))
+            let (a0, a1, b0, b1) = (1.0 + j as f64, -0.5, 2.0, 0.25 * j as f64);
+            let a = ctx.encrypt(&ctx.encode(&[a0, a1]), &keys.public, &mut rng);
+            let b = ctx.encrypt(&ctx.encode(&[b0, b1]), &keys.public, &mut rng);
+            let prod = ctx.multiply(&a, &b, &keys.relin);
+            let got = ctx.decode(&ctx.decrypt(&prod, &keys.secret));
+            // Coefficient encoding: (a0 + a1 X)(b0 + b1 X).
+            let want = [a0 * b0, a0 * b1 + a1 * b0, a1 * b1];
+            for (i, &v) in got.iter().enumerate() {
+                let w = want.get(i).copied().unwrap_or(0.0);
+                assert!(
+                    (v - w).abs() < 1e-2,
+                    "job {j} coefficient {i}: decoded {v}, expected {w}"
+                );
+            }
+            got
         })
         .collect()
 }
@@ -1457,6 +1474,20 @@ mod tests {
         assert!(rows.last().unwrap().per_ntt_us < rows[0].per_ntt_us);
         // Utilization should be non-decreasing-ish from batch 1 to max.
         assert!(rows.last().unwrap().utilization > rows[0].utilization * 0.9);
+    }
+
+    #[test]
+    fn fig9_reports_measured_utilization() {
+        let rows = fig9(10, 3, &[32]);
+        assert_eq!(rows.len(), 2);
+        for r in &rows {
+            assert!(
+                r.utilization > 0.0 && r.utilization <= 1.0,
+                "{}: utilization {}",
+                r.label,
+                r.utilization
+            );
+        }
     }
 
     #[test]

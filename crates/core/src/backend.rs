@@ -581,6 +581,17 @@ impl std::fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
+/// What a fallible op is about to issue, as seen by
+/// [`NttBackend::gate`]: the command classes a fault model draws for,
+/// and the device handles the op will read or write.
+#[derive(Debug, Clone, Copy)]
+pub enum OpKind<'a> {
+    /// A staged host batch: one upload, one launch, one download.
+    Staged,
+    /// A device-resident op over these handles: one launch.
+    Resident(&'a [DeviceBuf]),
+}
+
 /// A backend's device memory: allocation, host↔device staging, and the
 /// transfer ledger.
 ///
@@ -1137,23 +1148,11 @@ pub trait NttBackend: Send {
     }
 
     /// Forward-NTT a device-resident batch in place (`buf` = rows × N
-    /// words, row `r` mod prime `r % level`). Default: staged through
-    /// [`NttBackend::memory`] with counted transfers — override to stay on
-    /// the device.
-    fn dev_forward(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let mut host = vec![0u64; buf.len()];
-        lock_memory(&self.memory()).download(buf, &mut host);
-        self.forward_batch(plan, LimbBatch::new(&mut host, plan.degree(), level));
-        lock_memory(&self.memory()).upload(buf, &host);
-    }
+    /// words, row `r` mod prime `r % level`).
+    fn dev_forward(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize);
 
     /// Inverse counterpart of [`NttBackend::dev_forward`].
-    fn dev_inverse(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let mut host = vec![0u64; buf.len()];
-        lock_memory(&self.memory()).download(buf, &mut host);
-        self.inverse_batch(plan, LimbBatch::new(&mut host, plan.degree(), level));
-        lock_memory(&self.memory()).upload(buf, &host);
-    }
+    fn dev_inverse(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize);
 
     /// Device-resident fused negacyclic multiply: `out = a ·̄ b` for
     /// coefficient-form resident operands (all three buffers share the
@@ -1165,36 +1164,10 @@ pub trait NttBackend: Send {
         b: DeviceBuf,
         out: DeviceBuf,
         level: usize,
-    ) {
-        let (mut ha, mut hb) = (vec![0u64; a.len()], vec![0u64; b.len()]);
-        {
-            let mem = self.memory();
-            let mut m = lock_memory(&mem);
-            m.download(a, &mut ha);
-            m.download(b, &mut hb);
-        }
-        let mut ho = vec![0u64; out.len()];
-        self.multiply_batch(
-            plan,
-            &ha,
-            &hb,
-            LimbBatch::new(&mut ho, plan.degree(), level),
-        );
-        lock_memory(&self.memory()).upload(out, &ho);
-    }
+    );
 
     /// Device-resident pointwise product `acc[i] *= rhs[i]` per row.
-    fn dev_pointwise(&mut self, plan: &RingPlan, acc: DeviceBuf, rhs: DeviceBuf, level: usize) {
-        let (mut ha, mut hr) = (vec![0u64; acc.len()], vec![0u64; rhs.len()]);
-        {
-            let mem = self.memory();
-            let mut m = lock_memory(&mem);
-            m.download(acc, &mut ha);
-            m.download(rhs, &mut hr);
-        }
-        host_pointwise_rows(plan, level, &mut ha, &hr);
-        lock_memory(&self.memory()).upload(acc, &ha);
-    }
+    fn dev_pointwise(&mut self, plan: &RingPlan, acc: DeviceBuf, rhs: DeviceBuf, level: usize);
 
     /// Device-resident fused multiply-accumulate `acc[i] += x[i] * y[i]`
     /// per row (the key-switch inner product).
@@ -1205,32 +1178,10 @@ pub trait NttBackend: Send {
         x: DeviceBuf,
         y: DeviceBuf,
         level: usize,
-    ) {
-        let mut ha = vec![0u64; acc.len()];
-        let (mut hx, mut hy) = (vec![0u64; x.len()], vec![0u64; y.len()]);
-        {
-            let mem = self.memory();
-            let mut m = lock_memory(&mem);
-            m.download(acc, &mut ha);
-            m.download(x, &mut hx);
-            m.download(y, &mut hy);
-        }
-        host_fma_rows(plan, level, &mut ha, &hx, &hy);
-        lock_memory(&self.memory()).upload(acc, &ha);
-    }
+    );
 
-    /// Device-resident row-wise sum `acc[i] += rhs[i]`.
-    fn dev_add(&mut self, plan: &RingPlan, acc: DeviceBuf, rhs: DeviceBuf, level: usize) {
-        self.dev_addsub(plan, acc, rhs, level, false);
-    }
-
-    /// Device-resident row-wise difference `acc[i] -= rhs[i]`.
-    fn dev_sub(&mut self, plan: &RingPlan, acc: DeviceBuf, rhs: DeviceBuf, level: usize) {
-        self.dev_addsub(plan, acc, rhs, level, true);
-    }
-
-    /// Shared add/sub implementation hook (overriding [`NttBackend::dev_add`]
-    /// / [`NttBackend::dev_sub`] individually is equivalent).
+    /// Device-resident row-wise sum `acc[i] += rhs[i]`, or difference
+    /// `acc[i] -= rhs[i]` when `subtract` is set.
     fn dev_addsub(
         &mut self,
         plan: &RingPlan,
@@ -1238,44 +1189,19 @@ pub trait NttBackend: Send {
         rhs: DeviceBuf,
         level: usize,
         subtract: bool,
-    ) {
-        let (mut ha, mut hr) = (vec![0u64; acc.len()], vec![0u64; rhs.len()]);
-        {
-            let mem = self.memory();
-            let mut m = lock_memory(&mem);
-            m.download(acc, &mut ha);
-            m.download(rhs, &mut hr);
-        }
-        host_addsub_rows(plan, level, &mut ha, &hr, subtract);
-        lock_memory(&self.memory()).upload(acc, &ha);
-    }
+    );
 
     /// Device-resident negation of every row.
-    fn dev_negate(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let mut host = vec![0u64; buf.len()];
-        lock_memory(&self.memory()).download(buf, &mut host);
-        host_negate_rows(plan, level, &mut host);
-        lock_memory(&self.memory()).upload(buf, &host);
-    }
+    fn dev_negate(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize);
 
     /// Device-resident CKKS rescale step on a `level`-row coefficient
     /// buffer: rows `0..level-1` become `(row_i − row_last)·p_last^{-1}
     /// mod p_i`; the last row is left as garbage (the caller drops it from
     /// the logical view).
-    fn dev_rescale(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let mut host = vec![0u64; buf.len()];
-        lock_memory(&self.memory()).download(buf, &mut host);
-        crate::poly::rescale_rows(
-            plan.ring().basis().primes(),
-            plan.degree(),
-            level,
-            &mut host,
-        );
-        lock_memory(&self.memory()).upload(buf, &host);
-    }
+    fn dev_rescale(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize);
 
     /// Device-resident gadget digit decomposition (see
-    /// [`host_decompose_rows`] for the exact layout): `src` holds `level`
+    /// `host_decompose_rows` for the exact layout): `src` holds `level`
     /// coefficient rows, `dst` receives `level·digits` stacked polynomials
     /// of `level` replicated digit rows each.
     fn dev_decompose(
@@ -1286,25 +1212,15 @@ pub trait NttBackend: Send {
         level: usize,
         digits: usize,
         gadget_bits: u32,
-    ) {
-        let (mut hs, mut hd) = (vec![0u64; src.len()], vec![0u64; dst.len()]);
-        lock_memory(&self.memory()).download(src, &mut hs);
-        host_decompose_rows(plan.degree(), level, digits, gadget_bits, &hs, &mut hd);
-        lock_memory(&self.memory()).upload(dst, &hd);
-    }
+    );
 
-    /// Device-resident CKKS mod-raise (see [`host_modraise_rows`] for the
+    /// Device-resident CKKS mod-raise (see `host_modraise_rows` for the
     /// lift): `src` holds one coefficient row mod `p_0`, `dst` receives
     /// `to_level` re-embedded rows of the full basis.
-    fn dev_modraise(&mut self, plan: &RingPlan, src: DeviceBuf, dst: DeviceBuf, to_level: usize) {
-        let (mut hs, mut hd) = (vec![0u64; src.len()], vec![0u64; dst.len()]);
-        lock_memory(&self.memory()).download(src, &mut hs);
-        host_modraise_rows(plan, to_level, &hs, &mut hd);
-        lock_memory(&self.memory()).upload(dst, &hd);
-    }
+    fn dev_modraise(&mut self, plan: &RingPlan, src: DeviceBuf, dst: DeviceBuf, to_level: usize);
 
     /// Device-resident Galois automorphism `X → X^g` (see
-    /// [`host_automorphism_rows`] for the index map): `src` holds `level`
+    /// `host_automorphism_rows` for the index map): `src` holds `level`
     /// coefficient rows, `dst` receives the permuted (sign-wrapped) rows.
     fn dev_automorphism(
         &mut self,
@@ -1313,22 +1229,26 @@ pub trait NttBackend: Send {
         dst: DeviceBuf,
         level: usize,
         g: u64,
-    ) {
-        let (mut hs, mut hd) = (vec![0u64; src.len()], vec![0u64; dst.len()]);
-        lock_memory(&self.memory()).download(src, &mut hs);
-        host_automorphism_rows(plan, level, g, &hs, &mut hd);
-        lock_memory(&self.memory()).upload(dst, &hd);
-    }
+    );
 
     // ---- Fallible surface -------------------------------------------------
     //
     // The `try_*` variants of the hot ops return a classified
     // [`BackendError`] instead of panicking, for callers that can retry,
-    // re-fork, or degrade (the serving stack). Defaults delegate to the
-    // infallible methods — the CPU backend never fails, so it inherits
-    // them unchanged; backends with a fault model (the simulated GPU
-    // under an armed `FaultPlan`) override them with fault gates that
-    // fire *before* any data moves, keeping a failed call retry-safe.
+    // re-fork, or degrade (the serving stack). Each runs the backend's
+    // [`NttBackend::gate`] and then the infallible op, so a gate that
+    // fires *before* any data moves keeps a failed call retry-safe.
+
+    /// Fault gate every `try_*` op runs before touching any data. `op`
+    /// names the entry point (for diagnostics); `kind` says which command
+    /// classes it is about to issue and which device handles it reads.
+    /// The default never fails — the CPU backend has no fault model.
+    /// Device backends validate the handles and draw their fault plan
+    /// here; the infallible ops never call it.
+    fn gate(&self, op: &'static str, kind: OpKind<'_>) -> Result<(), BackendError> {
+        let _ = (op, kind);
+        Ok(())
+    }
 
     /// Fallible [`NttBackend::forward_batch`]. On `Err` the batch is
     /// unchanged.
@@ -1337,6 +1257,7 @@ pub trait NttBackend: Send {
         plan: &RingPlan,
         batch: LimbBatch<'_>,
     ) -> Result<(), BackendError> {
+        self.gate("forward_batch", OpKind::Staged)?;
         self.forward_batch(plan, batch);
         Ok(())
     }
@@ -1348,6 +1269,7 @@ pub trait NttBackend: Send {
         plan: &RingPlan,
         batch: LimbBatch<'_>,
     ) -> Result<(), BackendError> {
+        self.gate("inverse_batch", OpKind::Staged)?;
         self.inverse_batch(plan, batch);
         Ok(())
     }
@@ -1360,6 +1282,7 @@ pub trait NttBackend: Send {
         acc: LimbBatch<'_>,
         rhs: &[u64],
     ) -> Result<(), BackendError> {
+        self.gate("pointwise_batch", OpKind::Staged)?;
         self.pointwise_batch(plan, acc, rhs);
         Ok(())
     }
@@ -1373,6 +1296,7 @@ pub trait NttBackend: Send {
         b: &[u64],
         out: LimbBatch<'_>,
     ) -> Result<(), BackendError> {
+        self.gate("multiply_batch", OpKind::Staged)?;
         self.multiply_batch(plan, a, b, out);
         Ok(())
     }
@@ -1385,6 +1309,7 @@ pub trait NttBackend: Send {
         buf: DeviceBuf,
         level: usize,
     ) -> Result<(), BackendError> {
+        self.gate("dev_forward", OpKind::Resident(&[buf]))?;
         self.dev_forward(plan, buf, level);
         Ok(())
     }
@@ -1397,6 +1322,7 @@ pub trait NttBackend: Send {
         buf: DeviceBuf,
         level: usize,
     ) -> Result<(), BackendError> {
+        self.gate("dev_inverse", OpKind::Resident(&[buf]))?;
         self.dev_inverse(plan, buf, level);
         Ok(())
     }
@@ -1411,6 +1337,7 @@ pub trait NttBackend: Send {
         out: DeviceBuf,
         level: usize,
     ) -> Result<(), BackendError> {
+        self.gate("dev_multiply", OpKind::Resident(&[a, b, out]))?;
         self.dev_multiply(plan, a, b, out, level);
         Ok(())
     }
@@ -1424,6 +1351,7 @@ pub trait NttBackend: Send {
         rhs: DeviceBuf,
         level: usize,
     ) -> Result<(), BackendError> {
+        self.gate("dev_pointwise", OpKind::Resident(&[acc, rhs]))?;
         self.dev_pointwise(plan, acc, rhs, level);
         Ok(())
     }
@@ -1438,6 +1366,7 @@ pub trait NttBackend: Send {
         y: DeviceBuf,
         level: usize,
     ) -> Result<(), BackendError> {
+        self.gate("dev_fma", OpKind::Resident(&[acc, x, y]))?;
         self.dev_fma(plan, acc, x, y, level);
         Ok(())
     }
@@ -1450,6 +1379,7 @@ pub trait NttBackend: Send {
         buf: DeviceBuf,
         level: usize,
     ) -> Result<(), BackendError> {
+        self.gate("dev_rescale", OpKind::Resident(&[buf]))?;
         self.dev_rescale(plan, buf, level);
         Ok(())
     }
@@ -1465,6 +1395,7 @@ pub trait NttBackend: Send {
         digits: usize,
         gadget_bits: u32,
     ) -> Result<(), BackendError> {
+        self.gate("dev_decompose", OpKind::Resident(&[src, dst]))?;
         self.dev_decompose(plan, src, dst, level, digits, gadget_bits);
         Ok(())
     }
@@ -1478,6 +1409,7 @@ pub trait NttBackend: Send {
         dst: DeviceBuf,
         to_level: usize,
     ) -> Result<(), BackendError> {
+        self.gate("dev_modraise", OpKind::Resident(&[src, dst]))?;
         self.dev_modraise(plan, src, dst, to_level);
         Ok(())
     }
@@ -1492,6 +1424,7 @@ pub trait NttBackend: Send {
         level: usize,
         g: u64,
     ) -> Result<(), BackendError> {
+        self.gate("dev_automorphism", OpKind::Resident(&[src, dst]))?;
         self.dev_automorphism(plan, src, dst, level, g);
         Ok(())
     }

@@ -2,8 +2,8 @@
 //!
 //! The Cooley–Tukey algorithm produces output in bit-reversed order; HE
 //! pipelines avoid ever materializing the permutation (element-wise products
-//! commute with it), but the reference code and the Stockham cross-checks
-//! need it explicitly.
+//! commute with it), but the reference code and its cross-checks need it
+//! explicitly.
 
 /// Reverse the lowest `bits` bits of `i`.
 ///

@@ -26,8 +26,6 @@
 //!   [`Evaluator`].
 //! * [`calibration`] — the persisted per-host calibration file that makes
 //!   plan-time strategy choices reproducible across runs.
-//! * [`stockham`] — out-of-place self-sorting Stockham NTT (paper
-//!   Algorithm 3).
 //! * [`radix`] — register-style small-block NTTs (radix 2..2048) used by
 //!   the high-radix implementations.
 //! * [`ot`] — on-the-fly twiddling (paper §VII): base-B factorization of
@@ -72,7 +70,6 @@ pub mod params;
 pub mod poly;
 pub mod radix;
 pub mod rns;
-pub mod stockham;
 pub mod table;
 
 pub use backend::{

@@ -1,22 +1,39 @@
-//! `SimBackend`: the simulated-GPU implementation of
-//! [`ntt_core::backend::NttBackend`].
+//! The simulated-GPU implementation of
+//! [`ntt_core::backend::NttBackend`]: one device backend, two placements.
 //!
-//! Every trait call executes through the warp kernels on the `gpu-sim`
-//! substrate — data really moves through simulated GMEM, twiddles stream
-//! through the read-only cache path as per-stage `(value, companion)`
-//! slice-pairs, and the launch trace keeps the paper's traffic accounting.
-//! Outputs are **bit-identical** to [`ntt_core::backend::CpuBackend`]
-//! (pinned by `tests/backend_conformance.rs` and `tests/residency.rs`).
+//! [`DeviceBackend`] executes every trait call through the warp kernels
+//! on the `gpu-sim` substrate — data really moves through simulated GMEM,
+//! twiddles stream through the read-only cache path as per-stage
+//! `(value, companion)` slice-pairs, and the launch trace keeps the
+//! paper's traffic accounting. Outputs are **bit-identical** to
+//! [`ntt_core::backend::CpuBackend`] (pinned by
+//! `tests/backend_conformance.rs` and `tests/residency.rs`).
+//!
+//! A [`Placement`] decides where the residue rows of each allocation
+//! live; the backend's ops, kernels, forward-routing cache and fault
+//! gates are written once over it:
+//!
+//! * [`SimMemory`] — one simulated GPU. Every operand is one zero-copy
+//!   piece. [`SimBackend`] is the backend on this placement.
+//! * [`crate::ShardedMemory`] — `K` simulated GPUs joined by a modeled
+//!   link, row `r` on device `r % K` (see [`crate::sharded`]).
+//!   [`crate::ShardedBackend`] is the backend on it.
+//!
+//! Each device op splits the operand it writes into per-device pieces,
+//! gathers what every piece reads onto that piece's device (zero-copy
+//! when co-resident, over the link otherwise), and launches the same
+//! kernel on each device. With one device the two placements issue the
+//! same launches, transfers and modeled times (`tests/placement.rs`).
 //!
 //! Three layers of device state:
 //!
-//! * **Tables** upload once per plan (re-uploaded only when the plan
-//!   changes) and are shared by every fork of the backend.
+//! * **Tables** upload once per plan and device (re-uploaded only when
+//!   the plan changes) and are shared by every fork of the backend.
 //! * **Host-batch staging** ([`NttBackend::forward_batch`] and friends)
 //!   reuses cached device buffers, but still pays one upload and one
-//!   download per call — both charged to the [`gpu_sim::Gmem`] transfer
-//!   ledger, which is exactly the per-call round-trip the residency layer
-//!   exists to remove.
+//!   download per call and device — charged to the [`gpu_sim::Gmem`]
+//!   transfer ledger, which is exactly the per-call round-trip the
+//!   residency layer exists to remove.
 //! * **Device-resident execution** (the `dev_*` trait ops over
 //!   [`DeviceBuf`] handles) runs whole pipelines on buffers that live in
 //!   simulated GMEM: forward/inverse NTTs, element-wise ring ops,
@@ -38,36 +55,38 @@
 //!
 //! # Fallible surface and fault injection
 //!
-//! The `try_*` overrides of the [`NttBackend`] / [`DeviceMemory`] hot ops
-//! return a classified [`BackendError`] instead of panicking. They are
-//! **gate-then-delegate**: each draws the device's armed
-//! [`gpu_sim::FaultPlan`] (and validates operand handles) *before* any
-//! data moves, then runs the unchanged infallible body — so an `Err`
-//! always leaves host and device state untouched and the identical call
-//! can be retried. The infallible entry points never consult the plan,
-//! which keeps calibration sweeps and the figure harness fault-free even
-//! when `NTT_WARP_FAULTS` is set (the env plan is armed in
-//! [`SimBackend::new`], not in [`SimMemory::new`], for the same reason).
+//! The `try_*` ops are provided methods of [`NttBackend`], written once:
+//! each runs the backend's [`NttBackend::gate`] and then the unchanged
+//! infallible op. The device backend's gate validates operand handles
+//! and draws every device's armed [`gpu_sim::FaultPlan`] once per command
+//! class the op issues — upload, launch, download for a staged host
+//! batch; one launch for a device-resident op — *before* any data moves,
+//! so an `Err` always leaves host and device state untouched and the
+//! identical call can be retried. The infallible entry points never
+//! consult the plan, which keeps calibration sweeps and the figure
+//! harness fault-free even when `NTT_WARP_FAULTS` is set (the env plan is
+//! armed when the backend is built, not in [`SimMemory::new`], for the
+//! same reason).
 //!
 //! # Panic audit
 //!
-//! The panic sites that remain in this crate after the fallible surface
-//! was introduced are *invariant assertions*, not recoverable device
-//! conditions:
+//! The panic sites that remain in this crate's backend are *invariant
+//! assertions*, not recoverable device conditions:
 //!
-//! * `resolve`/`root_base`'s "freed or foreign DeviceBuf" — a caller
-//!   using a handle after `free` or against the wrong memory. The
-//!   fallible surface pre-validates handles (`is_live`) and reports
-//!   [`BackendError::Fatal`] instead; reaching the panic means an
-//!   *infallible* caller broke the handle contract.
-//! * "tables uploaded" — every trait op calls `ensure_tables` before the
-//!   kernel helpers run, so an absent table is an internal sequencing
-//!   bug, unreachable through the trait.
+//! * "freed or foreign DeviceBuf" in handle lookups (`resolve`,
+//!   `root_base`, the sharded placement's maps) — a caller using a handle
+//!   after `free` or against the wrong memory. The gate pre-validates
+//!   handles ([`Placement::is_live`]) and reports [`BackendError::Fatal`]
+//!   instead; reaching the panic means an *infallible* caller broke the
+//!   handle contract.
+//! * "tables uploaded" — every op calls `ensure_tables` on each device it
+//!   launches on before the kernel helpers run, so an absent table is an
+//!   internal sequencing bug, unreachable through the trait.
 //! * "distinct primes are coprime" (`dev_rescale`) — an RNS basis with a
 //!   repeated prime can't be constructed (`RnsRing::new` rejects it).
-//! * Shape `assert!`s on trait entry (`dev_decompose`, `pointwise`) —
-//!   caller-contract violations, mirrored from the documented panics of
-//!   the `ntt-core` trait defaults.
+//! * Shape `assert!`s on op entry (`dev_decompose`, `dev_modraise`,
+//!   `dev_automorphism`, `pointwise_batch`) and the sharded placement's
+//!   row-alignment asserts — caller-contract violations.
 //! * Kernel-lane `expect`s ("rhs loaded", "lane active") — a warp lane
 //!   reading a value its own address computation requested; failure is a
 //!   kernel bug, independent of any device state a caller controls.
@@ -94,21 +113,23 @@ use crate::hier::{self, DeviceTwist};
 use crate::ot::DeviceOt;
 use crate::radix2::{launch_forward, launch_inverse, ModMul};
 use crate::smem::{self, SmemConfig, SmemJob};
-use gpu_sim::{Buf, Event, Gpu, GpuConfig, LaunchConfig, OpClass, Stream, WarpCtx, WarpKernel};
+use gpu_sim::{
+    Buf, Event, FaultOp, Gpu, GpuConfig, LaunchConfig, OpClass, Stream, WarpCtx, WarpKernel,
+};
 use ntt_core::backend::{
-    BackendError, DeviceBuf, DeviceMemory, LimbBatch, NttBackend, RingPlan, SharedDeviceMemory,
-    TransferStats,
+    BackendError, DeviceBuf, DeviceMemory, LimbBatch, NttBackend, OpKind, RingPlan,
+    SharedDeviceMemory, TransferStats,
 };
 use ntt_math::modops::{add_mod, mul_mod, neg_mod, sub_mod};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Threads per block for the element-wise kernels.
-pub(crate) const THREADS: usize = 256;
+const THREADS: usize = 256;
 
 /// Shapes below this row length keep the radix-2 stage kernels: the
 /// two-kernel split needs enough columns per kernel to fill blocks.
-pub(crate) const SMEM_MIN_N: usize = 256;
+const SMEM_MIN_N: usize = 256;
 
 /// Device-resident twiddle tables for one plan (shared by all forks).
 struct DevTables {
@@ -130,12 +151,12 @@ struct DevTables {
 /// A reusable device data buffer (outgrown buffers are returned to the
 /// GMEM free list).
 #[derive(Default, Clone, Copy)]
-pub(crate) struct DevData {
+struct DevData {
     buf: Option<Buf>,
 }
 
 impl DevData {
-    pub(crate) fn ensure(&mut self, gpu: &mut Gpu, words: usize) -> Buf {
+    fn ensure(&mut self, gpu: &mut Gpu, words: usize) -> Buf {
         match self.buf {
             Some(b) if b.len() >= words => b,
             old => {
@@ -150,7 +171,8 @@ impl DevData {
     }
 }
 
-/// The simulated device memory behind [`SimBackend`]: the [`Gpu`] itself
+/// One simulated GPU's memory — all of [`SimBackend`]'s, and each shard
+/// of a [`crate::ShardedMemory`]: the [`Gpu`] itself
 /// (GMEM + launch trace + stream scheduler), the [`DeviceBuf`] handle map,
 /// the shared plan tables, and the per-buffer readiness events that guard
 /// cross-stream buffer reuse. One mutex guards all of it — forks of a
@@ -196,25 +218,20 @@ impl SimMemory {
         }
     }
 
-    /// Translate an opaque handle view into a GMEM buffer view.
+    /// The GMEM view behind a handle (also for kernels driven outside
+    /// the backend, e.g. figure experiments on the handle layer).
     ///
     /// # Panics
     ///
     /// Panics on a freed or foreign handle — an invariant assertion on
     /// the infallible paths (the fallible surface pre-validates with
-    /// [`is_live`](SimMemory::is_live) and returns
-    /// [`BackendError::Fatal`] instead).
-    pub(crate) fn resolve(&self, buf: DeviceBuf) -> Buf {
+    /// [`Placement::is_live`] and returns [`BackendError::Fatal`]
+    /// instead).
+    pub fn raw_buf(&self, buf: DeviceBuf) -> Buf {
         self.bufs
             .get(&buf.id())
             .expect("freed or foreign DeviceBuf")
             .sub(buf.base(), buf.len())
-    }
-
-    /// The GMEM view behind a handle (for kernels driven outside the
-    /// backend, e.g. figure experiments on the handle layer).
-    pub fn raw_buf(&self, buf: DeviceBuf) -> Buf {
-        self.resolve(buf)
     }
 
     /// The simulated device (launch trace, traffic counters, timeline).
@@ -293,7 +310,7 @@ impl SimMemory {
     /// intermediate). The stale readiness event a recycled base may carry
     /// is *consumed* — the active stream fences on it and then owns the
     /// storage — so repeated acquire/release cycles keep at most one
-    /// [`buf_ready`](SimMemory::buf_ready) entry per recycled base
+    /// `buf_ready` entry per recycled base
     /// instead of leaking one per cycle. Pair every call with
     /// [`release_scratch`](SimMemory::release_scratch).
     pub fn acquire_scratch(&mut self, words: usize) -> Buf {
@@ -322,16 +339,6 @@ impl SimMemory {
         self.buf_ready.len()
     }
 
-    /// Whether a handle view still resolves to a live allocation (the
-    /// fallible surface's non-panicking counterpart of [`resolve`]).
-    ///
-    /// [`resolve`]: SimMemory::resolve
-    pub(crate) fn is_live(&self, buf: DeviceBuf) -> bool {
-        self.bufs
-            .get(&buf.id())
-            .is_some_and(|b| buf.base() + buf.len() <= b.len())
-    }
-
     /// Draw the device's armed fault plan (if any) for one fallible
     /// backend entry point, classifying a fired fault into the typed
     /// error surface. A fault charges a stall on the active stream — see
@@ -339,7 +346,7 @@ impl SimMemory {
     pub(crate) fn fault_gate(
         &mut self,
         op: &'static str,
-        kind: gpu_sim::FaultOp,
+        kind: FaultOp,
     ) -> Result<(), BackendError> {
         self.gpu.fault_check(kind).map_err(|k| classify(k, op, 0))
     }
@@ -365,7 +372,7 @@ impl DeviceMemory for SimMemory {
     }
 
     fn upload(&mut self, dst: DeviceBuf, src: &[u64]) {
-        let b = self.resolve(dst);
+        let b = self.raw_buf(dst);
         let root = self.root_base(dst);
         self.wait_ready(&[root]);
         self.gpu.stream_upload(b, 0, src);
@@ -373,14 +380,14 @@ impl DeviceMemory for SimMemory {
     }
 
     fn download(&mut self, src: DeviceBuf, dst: &mut [u64]) {
-        let b = self.resolve(src);
+        let b = self.raw_buf(src);
         let root = self.root_base(src);
         self.wait_ready(&[root]);
         self.gpu.stream_download(b.sub(0, dst.len()), dst);
     }
 
     fn copy(&mut self, src: DeviceBuf, dst: DeviceBuf) {
-        let (s, d) = (self.resolve(src), self.resolve(dst));
+        let (s, d) = (self.raw_buf(src), self.raw_buf(dst));
         let roots = [self.root_base(src), self.root_base(dst)];
         self.wait_ready(&roots);
         self.gpu.gmem.copy(s, d);
@@ -426,7 +433,7 @@ impl DeviceMemory for SimMemory {
         if !self.is_live(dst) {
             return Err(BackendError::Fatal { op: "upload" });
         }
-        self.fault_gate("upload", gpu_sim::FaultOp::Upload)?;
+        self.fault_gate("upload", FaultOp::Upload)?;
         self.upload(dst, src);
         Ok(())
     }
@@ -435,22 +442,15 @@ impl DeviceMemory for SimMemory {
         if !self.is_live(src) {
             return Err(BackendError::Fatal { op: "download" });
         }
-        self.fault_gate("download", gpu_sim::FaultOp::Download)?;
+        self.fault_gate("download", FaultOp::Download)?;
         self.download(src, dst);
         Ok(())
     }
 }
 
-/// Lock a shared [`SimMemory`], recovering from poisoning (free function
-/// so callers can hold `&mut` to other backend fields across the guard).
-pub(crate) fn lock_mem(mem: &Arc<Mutex<SimMemory>>) -> MutexGuard<'_, SimMemory> {
-    mem.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Which implementation a forward batch of a given shape routes to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ForwardImpl {
+enum ForwardImpl {
     /// One stage-kernel launch per Cooley–Tukey stage.
     Radix2,
     /// Two-kernel SMEM implementation with this split (+OT stages).
@@ -465,15 +465,15 @@ pub(crate) enum ForwardImpl {
 /// mode and the best hierarchical split for the forced-`hier` mode
 /// (radix-2 when no candidate is feasible at all).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ShapeChoice {
-    pub(crate) auto: ForwardImpl,
-    pub(crate) best_smem: ForwardImpl,
-    pub(crate) best_hier: ForwardImpl,
+struct ShapeChoice {
+    auto: ForwardImpl,
+    best_smem: ForwardImpl,
+    best_hier: ForwardImpl,
 }
 
 /// Forced routing mode from `NTT_WARP_SIM_FORWARD`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ForwardMode {
+enum ForwardMode {
     Auto,
     Radix2,
     Smem,
@@ -482,7 +482,7 @@ pub(crate) enum ForwardMode {
 
 /// The routing mode, resolved from `NTT_WARP_SIM_FORWARD` once per
 /// process (this sits on every launch's hot path).
-pub(crate) fn forward_mode() -> ForwardMode {
+fn forward_mode() -> ForwardMode {
     static MODE: std::sync::OnceLock<ForwardMode> = std::sync::OnceLock::new();
     *MODE.get_or_init(|| {
         match std::env::var("NTT_WARP_SIM_FORWARD")
@@ -502,7 +502,7 @@ pub(crate) fn forward_mode() -> ForwardMode {
 /// Element-wise warp kernels over batches of limb rows: one thread per
 /// element, row `r` reduced mod `moduli[row_prime[r]]`.
 #[derive(Clone, Copy)]
-pub(crate) enum ElemOp {
+enum ElemOp {
     /// `a[i] <- a[i] * b[i]` (the paper's pointwise stage).
     Mul,
     /// `a[i] <- a[i] + b[i] * c[i]` (key-switch accumulate).
@@ -610,14 +610,16 @@ impl WarpKernel for ElemwiseKernel<'_> {
 }
 
 /// The device-side CKKS rescale step (see
-/// `ntt_core::backend::NttBackend::dev_rescale` for the contract): one
-/// thread per element of rows `0..level-1`, each reading its own word and
-/// the last row's word of the same column.
+/// `ntt_core::backend::NttBackend::dev_rescale` for the contract) on one
+/// device's piece of the data rows: one thread per element, each reading
+/// its own word and the same column of the dropped last row, which
+/// arrives as a separate (possibly gathered) buffer.
 struct RescaleKernel<'a> {
     data: Buf,
+    last: Buf,
     n: usize,
-    level: usize,
-    /// Per-prime `(p_last^{-1} mod p_i, p_i)` for rows `0..level-1`.
+    rows: usize,
+    /// `(p_last^{-1} mod p_i, p_i)` per local row.
     inv_p: &'a [(u64, u64)],
 }
 
@@ -627,7 +629,7 @@ impl WarpKernel for RescaleKernel<'_> {
     }
 
     fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = (self.level - 1) * self.n;
+        let total = self.rows * self.n;
         let lanes = ctx.lanes();
         let mut addr_x = vec![None; lanes];
         let mut addr_l = vec![None; lanes];
@@ -641,7 +643,7 @@ impl WarpKernel for RescaleKernel<'_> {
             active += 1;
             row[l] = gt / self.n;
             addr_x[l] = Some(self.data.word(gt));
-            addr_l[l] = Some(self.data.word((self.level - 1) * self.n + gt % self.n));
+            addr_l[l] = Some(self.last.word(gt % self.n));
         }
         if active == 0 {
             return;
@@ -663,25 +665,28 @@ impl WarpKernel for RescaleKernel<'_> {
 }
 
 /// Device-side gadget digit decomposition (layout per
-/// `ntt_core::backend::NttBackend::dev_decompose`): one thread per output
-/// element, each reading its source word and extracting one base-`2^w`
-/// digit.
-struct DecomposeKernel {
+/// `ntt_core::backend::NttBackend::dev_decompose`) writing one device's
+/// piece of the digit-poly rows from the full `level × N` source: one
+/// thread per output element, each reading its source word and
+/// extracting one base-`2^w` digit.
+struct DecomposeKernel<'a> {
     src: Buf,
     dst: Buf,
     n: usize,
     level: usize,
     digits: usize,
     gadget_bits: u32,
+    /// Global digit-buffer row of each local destination row.
+    rows: &'a [usize],
 }
 
-impl WarpKernel for DecomposeKernel {
+impl WarpKernel for DecomposeKernel<'_> {
     fn phases(&self) -> usize {
         1
     }
 
     fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.level * self.digits * self.level * self.n;
+        let total = self.rows.len() * self.n;
         let mask = (1u64 << self.gadget_bits) - 1;
         let lanes = ctx.lanes();
         let mut addr_s = vec![None; lanes];
@@ -693,7 +698,7 @@ impl WarpKernel for DecomposeKernel {
                 continue;
             }
             active += 1;
-            let poly = gt / (self.level * self.n);
+            let poly = self.rows[gt / self.n] / self.level;
             let (j, d) = (poly / self.digits, poly % self.digits);
             let t = gt % self.n;
             shift[l] = self.gadget_bits * d as u32;
@@ -780,15 +785,16 @@ impl WarpKernel for AutomorphismKernel<'_> {
 }
 
 /// Device-side mod-raise (centered lift per
-/// `ntt_core::backend::NttBackend::dev_modraise`): one thread per *output*
-/// element; each of the `to_level` rows re-reads the same `N` source words,
-/// so the read goes through the cached path like the decompose kernel's
-/// replicated rows.
+/// `ntt_core::backend::NttBackend::dev_modraise`) writing one device's
+/// piece of the raised rows: one thread per *output* element; every row
+/// re-reads the same `N` source words, so the read goes through the
+/// cached path like the decompose kernel's replicated rows.
 struct ModRaiseKernel<'a> {
     src: Buf,
     dst: Buf,
     n: usize,
-    to_level: usize,
+    /// Global row (= prime index) of each local destination row.
+    rows: &'a [usize],
     p0: u64,
     moduli: &'a [u64],
 }
@@ -799,7 +805,7 @@ impl WarpKernel for ModRaiseKernel<'_> {
     }
 
     fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.to_level * self.n;
+        let total = self.rows.len() * self.n;
         let half = self.p0 >> 1;
         let lanes = ctx.lanes();
         let mut addr_s = vec![None; lanes];
@@ -811,7 +817,7 @@ impl WarpKernel for ModRaiseKernel<'_> {
                 continue;
             }
             active += 1;
-            prime[l] = gt / self.n;
+            prime[l] = self.rows[gt / self.n];
             addr_s[l] = Some(self.src.word(gt % self.n));
         }
         if active == 0 {
@@ -839,7 +845,7 @@ impl WarpKernel for ModRaiseKernel<'_> {
 /// Tables are keyed on `(N, primes)`; a plan over the same ring never
 /// re-uploads (table uploads are the counted, one-time part of a resident
 /// chain's "initial upload").
-pub(crate) fn ensure_tables(m: &mut SimMemory, plan: &RingPlan) {
+fn ensure_tables(m: &mut SimMemory, plan: &RingPlan) {
     let n = plan.degree();
     let primes = plan.ring().basis().primes();
     if let Some(t) = &m.tables {
@@ -933,7 +939,7 @@ fn ensure_twist(m: &mut SimMemory, plan: &RingPlan) -> DeviceTwist {
 /// Launch a forward NTT over `row_prime.len()` rows at `data` through the
 /// chosen implementation (radix-2 stage kernels, the SMEM two-kernel
 /// split, or the hierarchical three-kernel plan, per `choice`).
-pub(crate) fn run_forward(
+fn run_forward(
     m: &mut SimMemory,
     plan: &RingPlan,
     data: Buf,
@@ -996,7 +1002,7 @@ pub(crate) fn run_forward(
 
 /// Launch the inverse NTT (always the radix-2 stage kernels — the SMEM
 /// implementation is forward-only, matching the paper's Table II setup).
-pub(crate) fn run_inverse(m: &mut SimMemory, data: Buf, row_prime: &[usize]) {
+fn run_inverse(m: &mut SimMemory, data: Buf, row_prime: &[usize]) {
     let SimMemory { gpu, tables, .. } = m;
     let t = tables.as_ref().expect("tables uploaded");
     launch_inverse(
@@ -1004,8 +1010,14 @@ pub(crate) fn run_inverse(m: &mut SimMemory, data: Buf, row_prime: &[usize]) {
     );
 }
 
+/// Launch a one-thread-per-element kernel over `elems` elements.
+fn launch(gpu: &mut Gpu, kernel: &impl WarpKernel, label: &str, elems: usize) {
+    let cfg = LaunchConfig::new(label, elems.div_ceil(THREADS), THREADS).regs_per_thread(40);
+    gpu.launch(kernel, &cfg);
+}
+
 /// Launch one element-wise kernel.
-pub(crate) fn launch_elemwise(
+fn launch_elemwise(
     m: &mut SimMemory,
     op: ElemOp,
     a: Buf,
@@ -1025,16 +1037,14 @@ pub(crate) fn launch_elemwise(
         moduli: &t.primes,
         op,
     };
-    let blocks = (row_prime.len() * n).div_ceil(THREADS);
-    let cfg = LaunchConfig::new(kernel.op.label(), blocks, THREADS).regs_per_thread(40);
-    m.gpu.launch(&kernel, &cfg);
+    launch(&mut m.gpu, &kernel, op.label(), row_prime.len() * n);
 }
 
 /// Launch the Galois automorphism kernel over `row_prime.len()` local
 /// rows (`X → X^g`, `g` already reduced mod `2N`). The permutation is
 /// row-local — row `r` of `dst` depends only on row `r` of `src` — which
-/// is what lets the sharded backend run it shard-parallel on row slices.
-pub(crate) fn launch_automorphism(
+/// is what lets a sharded placement run it device-parallel on row slices.
+fn launch_automorphism(
     m: &mut SimMemory,
     src: Buf,
     dst: Buf,
@@ -1052,72 +1062,189 @@ pub(crate) fn launch_automorphism(
         row_prime,
         moduli: &t.primes,
     };
-    let blocks = (row_prime.len() * n).div_ceil(THREADS);
-    let cfg = LaunchConfig::new("sim-automorphism", blocks, THREADS).regs_per_thread(40);
-    m.gpu.launch(&kernel, &cfg);
+    launch(&mut m.gpu, &kernel, "sim-automorphism", row_prime.len() * n);
 }
 
-/// The simulated-GPU backend: shared device memory (GMEM + handle map +
-/// plan tables) plus per-fork staging buffers, the memoized forward
-/// routing table, and this executor's [`Stream`].
+/// One device's slice of a device-op view: the view-relative rows it
+/// owns, ascending, and the locally contiguous piece holding them in
+/// that order.
+pub struct RowSeg {
+    /// Owning device.
+    pub(crate) shard: usize,
+    /// View-relative index of each local row.
+    pub(crate) rows: Vec<usize>,
+    /// The rows as one contiguous view into the device-local allocation.
+    pub(crate) local: DeviceBuf,
+}
+
+impl RowSeg {
+    /// The RNS prime index of each local row (row `r` of a view is
+    /// reduced mod prime `r % level`).
+    fn row_primes(&self, level: usize) -> Vec<usize> {
+        self.rows.iter().map(|&r| r % level).collect()
+    }
+}
+
+/// Rows of an operand materialized on one device: a zero-copy reference
+/// to the resident rows, or gathered scratch that goes back through
+/// [`Placement::release_gather`].
+pub struct Gathered {
+    pub(crate) buf: Buf,
+    pub(crate) scratch: bool,
+}
+
+/// Where a [`DeviceBackend`] keeps residue rows: the simulated GPUs it
+/// drives and which of them owns each row of an allocation.
 ///
-/// The root backend runs on [`Stream::DEFAULT`]; every [`NttBackend::fork`]
-/// allocates its own stream, so concurrent evaluators from the pool
-/// enqueue on independent queues and their modeled device time overlaps
-/// (subject to SM capacity) instead of serializing the way the old
-/// single-launch-lock model did.
-pub struct SimBackend {
-    mem: Arc<Mutex<SimMemory>>,
-    /// The stream this executor's launches and transfers are charged to.
-    stream: Stream,
-    /// Lazily created copy stream for staging prefetches
-    /// ([`NttBackend::stage_upload`]): uploads ride here so compute
-    /// queued on `stream` overlaps the transfer, fenced per buffer by
-    /// the readiness events.
-    copy_stream: Option<Stream>,
-    /// Staging buffer for host-batch primary operands.
+/// [`SimMemory`] is the one-device placement; [`crate::ShardedMemory`]
+/// the cyclic `K`-device one. Both are shared by every fork of their
+/// backend, so resident data is visible to all forks.
+pub trait Placement: DeviceMemory + Sized + 'static {
+    /// [`NttBackend::name`] of the backend on this placement.
+    const NAME: &'static str;
+
+    /// Number of simulated GPUs.
+    fn devices(&self) -> usize;
+
+    /// Simulated GPU `s`.
+    fn device(&self, s: usize) -> &SimMemory;
+
+    /// Mutable access to simulated GPU `s`.
+    fn device_mut(&mut self, s: usize) -> &mut SimMemory;
+
+    /// The per-device pieces of a device-op view of `n`-word rows.
+    fn row_segments(&self, view: DeviceBuf, n: usize) -> Vec<RowSeg>;
+
+    /// Materialize the given view rows (ascending, view-relative) on
+    /// device `to`, fencing its active stream on their readiness. Pair
+    /// with [`Placement::release_gather`].
+    fn gather_rows(&mut self, view: DeviceBuf, rows: &[usize], to: usize, n: usize) -> Gathered;
+
+    /// Return gathered scratch to device `to` (no-op for a zero-copy
+    /// reference).
+    fn release_gather(&mut self, to: usize, g: Gathered) {
+        if g.scratch {
+            self.device_mut(to).release_scratch(g.buf);
+        }
+    }
+
+    /// Whether a handle view still resolves to a live allocation (the
+    /// non-panicking counterpart of the handle lookups).
+    fn is_live(&self, buf: DeviceBuf) -> bool;
+}
+
+impl Placement for SimMemory {
+    const NAME: &'static str = "gpu-sim";
+
+    fn devices(&self) -> usize {
+        1
+    }
+
+    fn device(&self, _s: usize) -> &SimMemory {
+        self
+    }
+
+    fn device_mut(&mut self, _s: usize) -> &mut SimMemory {
+        self
+    }
+
+    /// One piece: the whole view.
+    fn row_segments(&self, view: DeviceBuf, n: usize) -> Vec<RowSeg> {
+        vec![RowSeg {
+            shard: 0,
+            rows: (0..view.len() / n).collect(),
+            local: view,
+        }]
+    }
+
+    /// Every row is already here: a zero-copy sub-view.
+    fn gather_rows(&mut self, view: DeviceBuf, rows: &[usize], _to: usize, n: usize) -> Gathered {
+        debug_assert!(
+            rows.windows(2).all(|w| w[1] == w[0] + 1),
+            "single-device gathers are contiguous row spans"
+        );
+        let root = self.root_base(view);
+        self.wait_ready(&[root]);
+        let first = rows.first().copied().unwrap_or(0);
+        Gathered {
+            buf: self.raw_buf(view).sub(first * n, rows.len() * n),
+            scratch: false,
+        }
+    }
+
+    fn is_live(&self, buf: DeviceBuf) -> bool {
+        self.bufs
+            .get(&buf.id())
+            .is_some_and(|b| buf.base() + buf.len() <= b.len())
+    }
+}
+
+/// One executor's reusable staging buffers on one device.
+#[derive(Default)]
+struct Staging {
+    /// Primary host-batch operand.
     data: DevData,
-    /// Staging buffer for host-batch secondary operands.
+    /// Secondary host-batch operand.
     scratch: DevData,
-    /// Device scratch for `dev_multiply`'s second operand.
+    /// `dev_multiply`'s second-operand scratch.
     mul_scratch: DevData,
+}
+
+/// The simulated-GPU backend over a [`Placement`]: shared device memory
+/// plus this executor's streams, staging buffers and the memoized
+/// forward-routing table.
+///
+/// The root backend runs on [`Stream::DEFAULT`] of every device; every
+/// [`NttBackend::fork`] allocates its own streams, so concurrent
+/// evaluators from the pool enqueue on independent queues and their
+/// modeled device time overlaps (subject to SM capacity).
+pub struct DeviceBackend<M: Placement> {
+    mem: Arc<Mutex<M>>,
+    /// This executor's compute stream on each device.
+    streams: Vec<Stream>,
+    /// Copy streams for staging prefetches ([`NttBackend::stage_upload`]),
+    /// one per device, created on first use: uploads ride here so compute
+    /// queued on `streams` overlaps the transfer, fenced per buffer by the
+    /// readiness events.
+    copy_streams: Vec<Stream>,
+    /// This executor's staging buffers on each device.
+    staging: Vec<Staging>,
     /// Memoized per-`N` forward implementation choice (shared by forks so
     /// the calibration runs once per shape per backend family).
     split_cache: Arc<Mutex<HashMap<usize, ShapeChoice>>>,
 }
 
-impl Default for SimBackend {
-    fn default() -> Self {
-        Self::titan_v()
-    }
+/// The single-device backend: [`DeviceBackend`] on one [`SimMemory`].
+pub type SimBackend = DeviceBackend<SimMemory>;
+
+/// Lock a shared memory, recovering from poisoning (free function so
+/// callers can hold `&mut` to other backend fields across the guard).
+pub(crate) fn lock<M>(mem: &Mutex<M>) -> MutexGuard<'_, M> {
+    mem.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-impl Drop for SimBackend {
-    fn drop(&mut self) {
-        if self.stream != Stream::DEFAULT {
-            self.lock().gpu.destroy_stream(self.stream);
-        }
-        if let Some(copy) = self.copy_stream {
-            self.lock().gpu.destroy_stream(copy);
-        }
-    }
+/// Row range of a `rows`-row host batch handled by device `s` of `k`: a
+/// contiguous block split whose block sizes differ by at most one.
+pub(crate) fn shard_rows(rows: usize, k: usize, s: usize) -> std::ops::Range<usize> {
+    (s * rows / k)..((s + 1) * rows / k)
 }
 
-impl SimBackend {
-    /// Backend over an explicit device model.
+impl<M: Placement> DeviceBackend<M> {
+    /// Backend over a fresh placement.
     ///
     /// If `NTT_WARP_FAULTS` is set, the parsed [`gpu_sim::FaultPlan`] is
-    /// armed on this backend's device. Arming happens *here*, not in
+    /// armed on every device — each draws its own schedule, so fault
+    /// rates scale with the device count. Arming happens *here*, not in
     /// [`SimMemory::new`], so the scratch devices the forward-choice
     /// calibration sweeps build stay fault-free by construction.
-    pub fn new(config: GpuConfig) -> Self {
+    pub(crate) fn with_memory(mem: M) -> Self {
+        let k = mem.devices();
         let backend = Self {
-            mem: Arc::new(Mutex::new(SimMemory::new(config))),
-            stream: Stream::DEFAULT,
-            copy_stream: None,
-            data: DevData::default(),
-            scratch: DevData::default(),
-            mul_scratch: DevData::default(),
+            mem: Arc::new(Mutex::new(mem)),
+            streams: vec![Stream::DEFAULT; k],
+            copy_streams: Vec::new(),
+            staging: (0..k).map(|_| Staging::default()).collect(),
             split_cache: Arc::new(Mutex::new(HashMap::new())),
         };
         if let Some(plan) = gpu_sim::FaultPlan::from_env() {
@@ -1126,61 +1253,46 @@ impl SimBackend {
         backend
     }
 
-    /// Backend over the paper's Titan-V device model.
-    pub fn titan_v() -> Self {
-        Self::new(GpuConfig::titan_v())
+    pub(crate) fn lock(&self) -> MutexGuard<'_, M> {
+        lock(&self.mem)
     }
 
-    /// Arm (or with `None`, disarm) a deterministic fault schedule on the
-    /// shared device. Affects every fork sharing this backend's memory;
+    /// Arm (or with `None`, disarm) a deterministic fault schedule on
+    /// every device. Affects every fork sharing this backend's memory;
     /// only the fallible `try_*` entry points draw from the plan. See
     /// [`gpu_sim::FaultPlan`].
     pub fn set_fault_plan(&self, plan: Option<gpu_sim::FaultPlan>) {
-        self.lock().gpu.set_fault_plan(plan);
-    }
-
-    fn lock(&self) -> MutexGuard<'_, SimMemory> {
-        lock_mem(&self.mem)
-    }
-
-    /// The stream this executor enqueues on (the root backend uses the
-    /// default stream; forks get their own).
-    pub fn stream(&self) -> Stream {
-        self.stream
+        let mut m = self.lock();
+        for s in 0..m.devices() {
+            m.device_mut(s).gpu_mut().set_fault_plan(plan.clone());
+        }
     }
 
     /// A clone of the shared device-memory handle, typed — lets harnesses
-    /// observe the device (timeline, trace) after the backend has been
-    /// boxed into an evaluator or `HeContext`.
-    pub fn memory_handle(&self) -> Arc<Mutex<SimMemory>> {
+    /// observe the devices (timeline, trace, link ledger) after the
+    /// backend has been boxed into an evaluator or `HeContext`.
+    pub fn memory_handle(&self) -> Arc<Mutex<M>> {
         Arc::clone(&self.mem)
     }
 
-    /// Inspect the underlying simulated device (launch trace, traffic
-    /// counters) under the shared-memory lock.
-    pub fn with_gpu<R>(&self, f: impl FnOnce(&Gpu) -> R) -> R {
-        f(&self.lock().gpu)
-    }
-
-    /// Clear the device launch trace (keeps memory and cached tables).
-    pub fn reset_trace(&mut self) {
-        self.lock().gpu.reset_trace();
-    }
-
-    /// The host↔device transfer ledger (see [`gpu_sim::Gmem`]).
+    /// The host↔device transfer ledger, summed over devices (see
+    /// [`gpu_sim::Gmem`]).
     pub fn transfer_stats(&self) -> TransferStats {
         self.lock().stats()
     }
 
-    /// The device's stream-schedule accounting: serialized vs overlapped
-    /// modeled time across every fork's stream.
-    pub fn timeline(&self) -> gpu_sim::DeviceTimeline {
-        self.lock().gpu.timeline()
+    /// Route every device's launches and charged transfers to this
+    /// executor's streams.
+    fn bind(&self, m: &mut M) {
+        for (s, &stream) in self.streams.iter().enumerate() {
+            m.device_mut(s).bind(stream);
+        }
     }
 
     /// The forward implementation for an `n`-point batch: the env
     /// override, the small-shape radix-2 floor, or the memoized
-    /// modeled-time winner over the paper's split candidates.
+    /// modeled-time winner over the paper's split candidates (swept on a
+    /// scratch single device — the shape class is decided by `N`).
     fn forward_choice(&self, n: usize, rows: usize) -> ForwardImpl {
         match forward_mode() {
             ForwardMode::Radix2 => return ForwardImpl::Radix2,
@@ -1199,61 +1311,147 @@ impl SimBackend {
     }
 
     fn cached_or_calibrated(&self, n: usize, rows: usize) -> ShapeChoice {
-        if let Some(&c) = self
-            .split_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&n)
-        {
+        if let Some(&c) = lock(&self.split_cache).get(&n) {
             return c;
         }
-        let config = self.lock().gpu.config.clone();
+        let config = self.lock().device(0).gpu().config.clone();
         let choice = calibrate_forward_choice(&config, n, rows);
-        self.split_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(n, choice);
+        lock(&self.split_cache).insert(n, choice);
         choice
     }
 
-    // ---- Fault gates for the fallible surface ---------------------------
-    //
-    // Every `try_*` override below is gate-then-delegate: draw the armed
-    // fault plan (and validate operand handles) *up front*, then run the
-    // unchanged infallible body. Injected faults therefore fire between
-    // ops — never mid-op — which is what makes a failed call retry-safe:
-    // on `Err`, no operand byte has moved. The gates draw one schedule
-    // slot per hardware command class the op would issue (a staged host
-    // batch is upload + launch + download; a device-resident op is one
-    // launch), so fault *rates* scale with real command traffic.
-
-    /// Gates for one staged host-batch op (upload, launch, download — in
-    /// issue order, on this executor's stream).
-    fn gate_staged(&self, op: &'static str) -> Result<(), BackendError> {
-        let mut m = self.lock();
-        m.bind(self.stream);
-        m.fault_gate(op, gpu_sim::FaultOp::Upload)?;
-        m.fault_gate(op, gpu_sim::FaultOp::Launch)?;
-        m.fault_gate(op, gpu_sim::FaultOp::Download)
+    /// One staged host batch of `out.len() / n` rows: each device takes a
+    /// contiguous block of rows, uploads its block of `src` (or of `out`
+    /// itself when `src` is `None`) and of `rhs` into its staging
+    /// buffers, runs `body` over them, and downloads the primary buffer
+    /// into its block of `out`. Host-batch operands are transient, so the
+    /// block split is free to differ from the placement of resident
+    /// allocations.
+    #[allow(clippy::too_many_arguments)]
+    fn staged(
+        &mut self,
+        plan: &RingPlan,
+        n: usize,
+        level: usize,
+        src: Option<&[u64]>,
+        rhs: Option<&[u64]>,
+        out: &mut [u64],
+        body: impl Fn(&mut SimMemory, Buf, Option<Buf>, &[usize]),
+    ) {
+        let rows = out.len() / n;
+        let mut m = lock(&self.mem);
+        let k = m.devices();
+        for s in 0..k {
+            let r = shard_rows(rows, k, s);
+            if r.is_empty() {
+                continue;
+            }
+            let words = r.len() * n;
+            let span = r.start * n..r.end * n;
+            let dev = m.device_mut(s);
+            dev.bind(self.streams[s]);
+            ensure_tables(dev, plan);
+            let st = &mut self.staging[s];
+            let abuf = st.data.ensure(dev.gpu_mut(), words).sub(0, words);
+            let bbuf = rhs.map(|_| st.scratch.ensure(dev.gpu_mut(), words).sub(0, words));
+            let bases: Vec<usize> = [Some(abuf), bbuf].iter().flatten().map(Buf::base).collect();
+            dev.wait_ready(&bases);
+            let a_in = src.unwrap_or(&*out);
+            dev.gpu_mut().stream_upload(abuf, 0, &a_in[span.clone()]);
+            if let (Some(b), Some(rhs)) = (bbuf, rhs) {
+                dev.gpu_mut().stream_upload(b, 0, &rhs[span.clone()]);
+            }
+            body(dev, abuf, bbuf, &r.map(|r| r % level).collect::<Vec<_>>());
+            dev.gpu_mut().stream_download(abuf, &mut out[span]);
+            dev.mark_written(&bases);
+        }
     }
 
-    /// Launch-class gate for one device-resident op.
-    fn gate_launch(&self, op: &'static str) -> Result<(), BackendError> {
-        let mut m = self.lock();
-        m.bind(self.stream);
-        m.fault_gate(op, gpu_sim::FaultOp::Launch)
+    /// One device-resident op writing `out`: for each device's piece of
+    /// `out`, upload the plan tables if needed, gather every read operand
+    /// onto that device (`(view, None)` reads the piece's own rows of
+    /// `view`, `(view, Some(rows))` the listed view rows), fence on the
+    /// piece, run `body(device, piece, out_raw, gathered, staging)` and
+    /// record the piece's write.
+    fn resident(
+        &mut self,
+        plan: &RingPlan,
+        out: DeviceBuf,
+        reads: &[(DeviceBuf, Option<&[usize]>)],
+        mut body: impl FnMut(&mut SimMemory, &RowSeg, Buf, &[Buf], &mut Staging),
+    ) {
+        let n = plan.degree();
+        let mut m = lock(&self.mem);
+        self.bind(&mut m);
+        for seg in m.row_segments(out, n) {
+            let s = seg.shard;
+            ensure_tables(m.device_mut(s), plan);
+            let gathered: Vec<Gathered> = reads
+                .iter()
+                .map(|&(view, rows)| m.gather_rows(view, rows.unwrap_or(&seg.rows), s, n))
+                .collect();
+            let ins: Vec<Buf> = gathered.iter().map(|g| g.buf).collect();
+            let dev = m.device_mut(s);
+            let root = dev.root_base(seg.local);
+            let raw = dev.raw_buf(seg.local);
+            dev.wait_ready(&[root]);
+            body(dev, &seg, raw, &ins, &mut self.staging[s]);
+            dev.mark_written(&[root]);
+            for g in gathered {
+                m.release_gather(s, g);
+            }
+        }
     }
 
-    /// Handle validation for device-resident try ops: a freed or foreign
-    /// handle is a caller bug the infallible path treats as an invariant
-    /// violation (panic in [`SimMemory::resolve`]); on the typed surface
-    /// it comes back as a fatal error instead.
-    fn check_handles(&self, op: &'static str, bufs: &[DeviceBuf]) -> Result<(), BackendError> {
-        let m = self.lock();
-        if bufs.iter().all(|&b| m.is_live(b)) {
-            Ok(())
-        } else {
-            Err(BackendError::Fatal { op })
+    /// One element-wise kernel `acc ← op(acc, reads…)` over the rows of
+    /// `acc`, reading the same rows of each operand.
+    fn elementwise(
+        &mut self,
+        plan: &RingPlan,
+        op: ElemOp,
+        acc: DeviceBuf,
+        reads: &[DeviceBuf],
+        level: usize,
+    ) {
+        let n = plan.degree();
+        let reads: Vec<(DeviceBuf, Option<&[usize]>)> = reads.iter().map(|&r| (r, None)).collect();
+        self.resident(plan, acc, &reads, |dev, seg, a, ins, _| {
+            let (b, c) = (ins.first().copied(), ins.get(1).copied());
+            launch_elemwise(dev, op, a, b, c, n, &seg.row_primes(level));
+        });
+    }
+}
+
+impl SimBackend {
+    /// Backend over an explicit device model.
+    pub fn new(config: GpuConfig) -> Self {
+        Self::with_memory(SimMemory::new(config))
+    }
+
+    /// Backend over the paper's Titan-V device model.
+    pub fn titan_v() -> Self {
+        Self::new(GpuConfig::titan_v())
+    }
+
+    /// Inspect the underlying simulated device (launch trace, traffic
+    /// counters) under the shared-memory lock.
+    pub fn with_gpu<R>(&self, f: impl FnOnce(&Gpu) -> R) -> R {
+        f(self.lock().gpu())
+    }
+}
+
+impl Default for SimBackend {
+    fn default() -> Self {
+        Self::titan_v()
+    }
+}
+
+impl<M: Placement> Drop for DeviceBackend<M> {
+    fn drop(&mut self) {
+        let mut m = lock(&self.mem);
+        let streams = self.streams.iter().enumerate();
+        for (s, &stream) in streams.chain(self.copy_streams.iter().enumerate()) {
+            m.device_mut(s).gpu_mut().destroy_stream(stream);
         }
     }
 }
@@ -1281,7 +1479,7 @@ enum Cand {
 /// split persisted in the per-host calibration file is reused next; only
 /// when neither applies does the sweep try the near-square column counts,
 /// persisting the winner for future processes.
-pub(crate) fn calibrate_forward_choice(config: &GpuConfig, n: usize, rows: usize) -> ShapeChoice {
+fn calibrate_forward_choice(config: &GpuConfig, n: usize, rows: usize) -> ShapeChoice {
     let log_n = n.trailing_zeros();
     let np = rows.clamp(1, 4);
     let bench = |cand: &Cand| -> Option<f64> {
@@ -1381,9 +1579,9 @@ pub(crate) fn calibrate_forward_choice(config: &GpuConfig, n: usize, rows: usize
     }
 }
 
-impl NttBackend for SimBackend {
+impl<M: Placement> NttBackend for DeviceBackend<M> {
     fn name(&self) -> &'static str {
-        "gpu-sim"
+        M::NAME
     }
 
     fn memory(&self) -> SharedDeviceMemory {
@@ -1392,14 +1590,16 @@ impl NttBackend for SimBackend {
     }
 
     fn fork(&self) -> Box<dyn NttBackend> {
-        let stream = self.lock().gpu.create_stream();
-        Box::new(SimBackend {
+        let mut m = self.lock();
+        let k = m.devices();
+        let streams = (0..k)
+            .map(|s| m.device_mut(s).gpu_mut().create_stream())
+            .collect();
+        Box::new(Self {
             mem: Arc::clone(&self.mem),
-            stream,
-            copy_stream: None,
-            data: DevData::default(),
-            scratch: DevData::default(),
-            mul_scratch: DevData::default(),
+            streams,
+            copy_streams: Vec::new(),
+            staging: (0..k).map(|_| Staging::default()).collect(),
             split_cache: Arc::clone(&self.split_cache),
         })
     }
@@ -1409,137 +1609,99 @@ impl NttBackend for SimBackend {
     }
 
     fn bind_stream(&self) {
-        self.lock().bind(self.stream);
+        self.bind(&mut self.lock());
     }
 
-    /// Prefetch a staging upload on this executor's copy stream: the
-    /// transfer is enqueued off the compute stream and the buffer's
-    /// readiness event is recorded on the copy stream, so consuming
-    /// kernels (which fence per buffer via `wait_ready`) start exactly
-    /// when the copy lands while previously queued compute overlaps it
-    /// (ROADMAP item p).
+    /// Prefetch a staging upload on this executor's copy streams: the
+    /// transfer is enqueued off the compute streams and each buffer
+    /// piece's readiness event is recorded on its device's copy stream,
+    /// so consuming kernels (which fence per buffer via `wait_ready`)
+    /// start exactly when the copy lands while previously queued compute
+    /// overlaps it.
     fn stage_upload(&mut self, data: &[u64]) -> DeviceBuf {
-        let mut m = lock_mem(&self.mem);
-        let copy = *self
-            .copy_stream
-            .get_or_insert_with(|| m.gpu.create_stream());
+        let mut m = lock(&self.mem);
+        if self.copy_streams.is_empty() {
+            self.copy_streams = (0..m.devices())
+                .map(|s| m.device_mut(s).gpu_mut().create_stream())
+                .collect();
+        }
         let buf = m.alloc(data.len());
-        m.bind(copy);
-        // `upload` fences the copy stream on any stale readiness event a
+        for (s, &copy) in self.copy_streams.iter().enumerate() {
+            m.device_mut(s).bind(copy);
+        }
+        // `upload` fences each copy stream on any stale readiness event a
         // recycled base may carry, then records the new one there.
         m.upload(buf, data);
-        m.bind(self.stream);
+        self.bind(&mut m);
         buf
     }
 
     fn forward_batch(&mut self, plan: &RingPlan, mut batch: LimbBatch<'_>) {
         let (n, level) = (batch.n(), batch.level());
-        let rows = batch.rows();
-        let choice = self.forward_choice(n, rows);
-        let row_prime: Vec<usize> = (0..rows).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let buf = self.data.ensure(&mut m.gpu, batch.as_slice().len());
-        let buf = buf.sub(0, batch.as_slice().len());
-        m.wait_ready(&[buf.base()]);
-        m.gpu.stream_upload(buf, 0, batch.as_slice());
-        run_forward(&mut m, plan, buf, &row_prime, choice);
-        m.gpu.stream_download(buf, batch.data());
-        m.mark_written(&[buf.base()]);
+        let choice = self.forward_choice(n, batch.rows());
+        self.staged(plan, n, level, None, None, batch.data(), |dev, a, _, rp| {
+            run_forward(dev, plan, a, rp, choice)
+        });
     }
 
     fn inverse_batch(&mut self, plan: &RingPlan, mut batch: LimbBatch<'_>) {
         let (n, level) = (batch.n(), batch.level());
-        let rows = batch.as_slice().len() / n;
-        let row_prime: Vec<usize> = (0..rows).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let buf = self.data.ensure(&mut m.gpu, batch.as_slice().len());
-        let buf = buf.sub(0, batch.as_slice().len());
-        m.wait_ready(&[buf.base()]);
-        m.gpu.stream_upload(buf, 0, batch.as_slice());
-        run_inverse(&mut m, buf, &row_prime);
-        m.gpu.stream_download(buf, batch.data());
-        m.mark_written(&[buf.base()]);
+        self.staged(plan, n, level, None, None, batch.data(), |dev, a, _, rp| {
+            run_inverse(dev, a, rp)
+        });
     }
 
     fn pointwise_batch(&mut self, plan: &RingPlan, mut acc: LimbBatch<'_>, rhs: &[u64]) {
         assert_eq!(acc.as_slice().len(), rhs.len(), "operand shape mismatch");
         let (n, level) = (acc.n(), acc.level());
-        let rows = acc.as_slice().len() / n;
-        let row_prime: Vec<usize> = (0..rows).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let abuf = self.data.ensure(&mut m.gpu, acc.as_slice().len());
-        let abuf = abuf.sub(0, acc.as_slice().len());
-        let bbuf = self.scratch.ensure(&mut m.gpu, rhs.len());
-        let bbuf = bbuf.sub(0, rhs.len());
-        m.wait_ready(&[abuf.base(), bbuf.base()]);
-        m.gpu.stream_upload(abuf, 0, acc.as_slice());
-        m.gpu.stream_upload(bbuf, 0, rhs);
-        launch_elemwise(&mut m, ElemOp::Mul, abuf, Some(bbuf), None, n, &row_prime);
-        m.gpu.stream_download(abuf, acc.data());
-        m.mark_written(&[abuf.base(), bbuf.base()]);
+        self.staged(
+            plan,
+            n,
+            level,
+            None,
+            Some(rhs),
+            acc.data(),
+            |dev, a, b, rp| launch_elemwise(dev, ElemOp::Mul, a, b, None, n, rp),
+        );
     }
 
     fn multiply_batch(&mut self, plan: &RingPlan, a: &[u64], b: &[u64], mut out: LimbBatch<'_>) {
         assert_eq!(a.len(), out.as_slice().len(), "operand shape mismatch");
         assert_eq!(b.len(), out.as_slice().len(), "operand shape mismatch");
         let (n, level) = (out.n(), out.level());
-        let rows = a.len() / n;
-        let choice = self.forward_choice(n, rows);
-        let row_prime: Vec<usize> = (0..rows).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let abuf = self.data.ensure(&mut m.gpu, a.len());
-        let abuf = abuf.sub(0, a.len());
-        let bbuf = self.scratch.ensure(&mut m.gpu, b.len());
-        let bbuf = bbuf.sub(0, b.len());
-        m.wait_ready(&[abuf.base(), bbuf.base()]);
-        m.gpu.stream_upload(abuf, 0, a);
-        m.gpu.stream_upload(bbuf, 0, b);
+        let choice = self.forward_choice(n, a.len() / n);
         // The classic device pipeline: NTT(a), NTT(b), pointwise, iNTT —
         // four launch groups over one resident batch.
-        run_forward(&mut m, plan, abuf, &row_prime, choice);
-        run_forward(&mut m, plan, bbuf, &row_prime, choice);
-        launch_elemwise(&mut m, ElemOp::Mul, abuf, Some(bbuf), None, n, &row_prime);
-        run_inverse(&mut m, abuf, &row_prime);
-        m.gpu.stream_download(abuf, out.data());
-        m.mark_written(&[abuf.base(), bbuf.base()]);
+        self.staged(
+            plan,
+            n,
+            level,
+            Some(a),
+            Some(b),
+            out.data(),
+            |dev, a, b, rp| {
+                let b = b.expect("rhs staged");
+                run_forward(dev, plan, a, rp, choice);
+                run_forward(dev, plan, b, rp, choice);
+                launch_elemwise(dev, ElemOp::Mul, a, Some(b), None, n, rp);
+                run_inverse(dev, a, rp);
+            },
+        );
     }
 
     // ---- Device-resident execution (zero host↔device traffic) ----------
 
     fn dev_forward(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let n = plan.degree();
-        let rows = buf.len() / n;
-        let choice = self.forward_choice(n, rows);
-        let row_prime: Vec<usize> = (0..rows).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let data = m.resolve(buf);
-        let root = m.root_base(buf);
-        m.wait_ready(&[root]);
-        run_forward(&mut m, plan, data, &row_prime, choice);
-        m.mark_written(&[root]);
+        let choice = self.forward_choice(plan.degree(), buf.len() / plan.degree());
+        self.resident(plan, buf, &[], |dev, seg, data, _, _| {
+            run_forward(dev, plan, data, &seg.row_primes(level), choice)
+        });
     }
 
     fn dev_inverse(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let n = plan.degree();
-        let row_prime: Vec<usize> = (0..buf.len() / n).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let data = m.resolve(buf);
-        let root = m.root_base(buf);
-        m.wait_ready(&[root]);
-        run_inverse(&mut m, data, &row_prime);
-        m.mark_written(&[root]);
+        self.resident(plan, buf, &[], |dev, seg, data, _, _| {
+            run_inverse(dev, data, &seg.row_primes(level))
+        });
     }
 
     fn dev_multiply(
@@ -1551,51 +1713,27 @@ impl NttBackend for SimBackend {
         level: usize,
     ) {
         let n = plan.degree();
-        let rows = out.len() / n;
-        let choice = self.forward_choice(n, rows);
-        let row_prime: Vec<usize> = (0..rows).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let (abuf, bbuf, obuf) = (m.resolve(a), m.resolve(b), m.resolve(out));
-        let scratch = self.mul_scratch.ensure(&mut m.gpu, bbuf.len());
-        let scratch = scratch.sub(0, bbuf.len());
-        let reads = [
-            m.root_base(a),
-            m.root_base(b),
-            m.root_base(out),
-            scratch.base(),
-        ];
-        m.wait_ready(&reads);
-        // Stage both operands on the device (d2d; inputs stay intact).
-        m.gpu.gmem.copy(abuf, obuf);
-        m.gpu.gmem.copy(bbuf, scratch);
-        run_forward(&mut m, plan, obuf, &row_prime, choice);
-        run_forward(&mut m, plan, scratch, &row_prime, choice);
-        launch_elemwise(
-            &mut m,
-            ElemOp::Mul,
-            obuf,
-            Some(scratch),
-            None,
-            n,
-            &row_prime,
-        );
-        run_inverse(&mut m, obuf, &row_prime);
-        m.mark_written(&[reads[2], reads[3]]);
+        let choice = self.forward_choice(n, out.len() / n);
+        let reads = [(a, None), (b, None)];
+        self.resident(plan, out, &reads, |dev, seg, obuf, ins, st| {
+            let rp = seg.row_primes(level);
+            let words = seg.rows.len() * n;
+            let scratch = st.mul_scratch.ensure(dev.gpu_mut(), words).sub(0, words);
+            dev.wait_ready(&[scratch.base()]);
+            // Stage both operands on the owning device (d2d; inputs stay
+            // intact).
+            dev.gpu_mut().gmem.copy(ins[0], obuf);
+            dev.gpu_mut().gmem.copy(ins[1], scratch);
+            run_forward(dev, plan, obuf, &rp, choice);
+            run_forward(dev, plan, scratch, &rp, choice);
+            launch_elemwise(dev, ElemOp::Mul, obuf, Some(scratch), None, n, &rp);
+            run_inverse(dev, obuf, &rp);
+            dev.mark_written(&[scratch.base()]);
+        });
     }
 
     fn dev_pointwise(&mut self, plan: &RingPlan, acc: DeviceBuf, rhs: DeviceBuf, level: usize) {
-        let n = plan.degree();
-        let row_prime: Vec<usize> = (0..acc.len() / n).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let (a, b) = (m.resolve(acc), m.resolve(rhs));
-        let roots = [m.root_base(acc), m.root_base(rhs)];
-        m.wait_ready(&roots);
-        launch_elemwise(&mut m, ElemOp::Mul, a, Some(b), None, n, &row_prime);
-        m.mark_written(&roots[..1]);
+        self.elementwise(plan, ElemOp::Mul, acc, &[rhs], level);
     }
 
     fn dev_fma(
@@ -1606,16 +1744,13 @@ impl NttBackend for SimBackend {
         y: DeviceBuf,
         level: usize,
     ) {
-        let n = plan.degree();
-        let row_prime: Vec<usize> = (0..acc.len() / n).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let (a, xb, yb) = (m.resolve(acc), m.resolve(x), m.resolve(y));
-        let roots = [m.root_base(acc), m.root_base(x), m.root_base(y)];
-        m.wait_ready(&roots);
-        launch_elemwise(&mut m, ElemOp::Fma, a, Some(xb), Some(yb), n, &row_prime);
-        m.mark_written(&roots[..1]);
+        // The key-switch inner product lands here: `x` is a digit
+        // sub-view of the decompose scratch at row offset `d * level`.
+        // The cyclic partition puts that view on the accumulator's
+        // devices whenever `level % K == 0` — the zero-copy gather — and
+        // a genuinely misaligned view (e.g. `K = 3` with `level = 8`)
+        // arrives over the link, correct either way.
+        self.elementwise(plan, ElemOp::Fma, acc, &[x, y], level);
     }
 
     fn dev_addsub(
@@ -1626,30 +1761,12 @@ impl NttBackend for SimBackend {
         level: usize,
         subtract: bool,
     ) {
-        let n = plan.degree();
-        let row_prime: Vec<usize> = (0..acc.len() / n).map(|r| r % level).collect();
         let op = if subtract { ElemOp::Sub } else { ElemOp::Add };
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let (a, b) = (m.resolve(acc), m.resolve(rhs));
-        let roots = [m.root_base(acc), m.root_base(rhs)];
-        m.wait_ready(&roots);
-        launch_elemwise(&mut m, op, a, Some(b), None, n, &row_prime);
-        m.mark_written(&roots[..1]);
+        self.elementwise(plan, op, acc, &[rhs], level);
     }
 
     fn dev_negate(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let n = plan.degree();
-        let row_prime: Vec<usize> = (0..buf.len() / n).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let a = m.resolve(buf);
-        let root = m.root_base(buf);
-        m.wait_ready(&[root]);
-        launch_elemwise(&mut m, ElemOp::Neg, a, None, None, n, &row_prime);
-        m.mark_written(&[root]);
+        self.elementwise(plan, ElemOp::Neg, buf, &[], level);
     }
 
     fn dev_rescale(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
@@ -1666,22 +1783,25 @@ impl NttBackend for SimBackend {
                 )
             })
             .collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let data = m.resolve(buf);
-        let root = m.root_base(buf);
-        m.wait_ready(&[root]);
-        let kernel = RescaleKernel {
-            data,
-            n,
-            level,
-            inv_p: &inv_p,
-        };
-        let blocks = ((level - 1) * n).div_ceil(THREADS);
-        let cfg = LaunchConfig::new("sim-rescale", blocks, THREADS).regs_per_thread(40);
-        m.gpu.launch(&kernel, &cfg);
-        m.mark_written(&[root]);
+        // Rows 0..level-1 rescale in place; every owning device needs the
+        // dropped last row (a broadcast of N words per remote device).
+        let reads = [(buf, Some(&[level - 1][..]))];
+        self.resident(
+            plan,
+            buf.sub(0, (level - 1) * n),
+            &reads,
+            |dev, seg, data, ins, _| {
+                let inv: Vec<(u64, u64)> = seg.rows.iter().map(|&r| inv_p[r]).collect();
+                let kernel = RescaleKernel {
+                    data,
+                    last: ins[0],
+                    n,
+                    rows: seg.rows.len(),
+                    inv_p: &inv,
+                };
+                launch(&mut dev.gpu, &kernel, "sim-rescale", seg.rows.len() * n);
+            },
+        );
     }
 
     fn dev_decompose(
@@ -1700,23 +1820,23 @@ impl NttBackend for SimBackend {
             level * digits * level * n,
             "digit buffer shape mismatch"
         );
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let kernel = DecomposeKernel {
-            src: m.resolve(src),
-            dst: m.resolve(dst),
-            n,
-            level,
-            digits,
-            gadget_bits,
-        };
-        let roots = [m.root_base(src), m.root_base(dst)];
-        m.wait_ready(&roots);
-        let blocks = (level * digits * level * n).div_ceil(THREADS);
-        let cfg = LaunchConfig::new("sim-decompose", blocks, THREADS).regs_per_thread(40);
-        m.gpu.launch(&kernel, &cfg);
-        m.mark_written(&roots[1..]);
+        // Every digit reads every residue row of the source: across
+        // devices the base conversion is an all-gather of the remote rows
+        // (≈ (K-1)/K · level · N words over the link per device).
+        let all_rows: Vec<usize> = (0..level).collect();
+        let reads = [(src, Some(&all_rows[..]))];
+        self.resident(plan, dst, &reads, |dev, seg, dst, ins, _| {
+            let kernel = DecomposeKernel {
+                src: ins[0],
+                dst,
+                n,
+                level,
+                digits,
+                gadget_bits,
+                rows: &seg.rows,
+            };
+            launch(&mut dev.gpu, &kernel, "sim-decompose", seg.rows.len() * n);
+        });
     }
 
     fn dev_automorphism(
@@ -1728,208 +1848,63 @@ impl NttBackend for SimBackend {
         g: u64,
     ) {
         let n = plan.degree();
-        let rows = src.len() / n;
         assert_eq!(src.len(), dst.len(), "operand shape mismatch");
         let g = g % (2 * n as u64);
         assert_eq!(g % 2, 1, "Galois element must be odd");
-        let row_prime: Vec<usize> = (0..rows).map(|r| r % level).collect();
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let (src_raw, dst_raw) = (m.resolve(src), m.resolve(dst));
-        let roots = [m.root_base(src), m.root_base(dst)];
-        m.wait_ready(&roots);
-        launch_automorphism(&mut m, src_raw, dst_raw, n, g, &row_prime);
-        m.mark_written(&roots[1..]);
+        // The permutation is row-local, so each dst row needs exactly its
+        // own src row — aligned allocations gather zero-copy.
+        self.resident(plan, dst, &[(src, None)], |dev, seg, dst, ins, _| {
+            let rp = seg.row_primes(level);
+            launch_automorphism(dev, ins[0], dst, n, g, &rp);
+        });
     }
 
     fn dev_modraise(&mut self, plan: &RingPlan, src: DeviceBuf, dst: DeviceBuf, to_level: usize) {
         let n = plan.degree();
         assert_eq!(src.len(), n, "mod-raise source must be one level-1 row");
         assert_eq!(dst.len(), to_level * n, "mod-raise destination shape");
-        let moduli = plan.ring().basis().primes().to_vec();
-        let p0 = moduli[0];
-        let mut m = lock_mem(&self.mem);
-        m.bind(self.stream);
-        ensure_tables(&mut m, plan);
-        let kernel = ModRaiseKernel {
-            src: m.resolve(src),
-            dst: m.resolve(dst),
-            n,
-            to_level,
-            p0,
-            moduli: &moduli,
+        let moduli = plan.ring().basis().primes();
+        // Broadcast the single source row to every device owning
+        // destination rows.
+        self.resident(plan, dst, &[(src, Some(&[0]))], |dev, seg, dst, ins, _| {
+            let kernel = ModRaiseKernel {
+                src: ins[0],
+                dst,
+                n,
+                rows: &seg.rows,
+                p0: moduli[0],
+                moduli,
+            };
+            launch(&mut dev.gpu, &kernel, "sim-modraise", seg.rows.len() * n);
+        });
+    }
+
+    /// Validate operand handles, then draw every device's fault plan once
+    /// per command class the op issues, in issue order, on this
+    /// executor's streams. Injected faults therefore fire between ops —
+    /// never mid-op — so on `Err` no operand byte has moved, and fault
+    /// *rates* scale with real command traffic.
+    fn gate(&self, op: &'static str, kind: OpKind<'_>) -> Result<(), BackendError> {
+        let mut m = self.lock();
+        let draws: &[FaultOp] = match kind {
+            OpKind::Staged => &[FaultOp::Upload, FaultOp::Launch, FaultOp::Download],
+            OpKind::Resident(bufs) => {
+                // A freed or foreign handle is a caller bug the
+                // infallible path treats as an invariant violation; on
+                // the typed surface it comes back as a fatal error.
+                if !bufs.iter().all(|&b| m.is_live(b)) {
+                    return Err(BackendError::Fatal { op });
+                }
+                &[FaultOp::Launch]
+            }
         };
-        let roots = [m.root_base(src), m.root_base(dst)];
-        m.wait_ready(&roots);
-        let blocks = (to_level * n).div_ceil(THREADS);
-        let cfg = LaunchConfig::new("sim-modraise", blocks, THREADS).regs_per_thread(40);
-        m.gpu.launch(&kernel, &cfg);
-        m.mark_written(&roots[1..]);
-    }
-
-    // ---- Fallible surface: gate-then-delegate (see the fault-gate
-    // helpers on `SimBackend` for the granularity contract). ------------
-
-    fn try_forward_batch(
-        &mut self,
-        plan: &RingPlan,
-        batch: LimbBatch<'_>,
-    ) -> Result<(), BackendError> {
-        self.gate_staged("forward_batch")?;
-        self.forward_batch(plan, batch);
-        Ok(())
-    }
-
-    fn try_inverse_batch(
-        &mut self,
-        plan: &RingPlan,
-        batch: LimbBatch<'_>,
-    ) -> Result<(), BackendError> {
-        self.gate_staged("inverse_batch")?;
-        self.inverse_batch(plan, batch);
-        Ok(())
-    }
-
-    fn try_pointwise_batch(
-        &mut self,
-        plan: &RingPlan,
-        acc: LimbBatch<'_>,
-        rhs: &[u64],
-    ) -> Result<(), BackendError> {
-        self.gate_staged("pointwise_batch")?;
-        self.pointwise_batch(plan, acc, rhs);
-        Ok(())
-    }
-
-    fn try_multiply_batch(
-        &mut self,
-        plan: &RingPlan,
-        a: &[u64],
-        b: &[u64],
-        out: LimbBatch<'_>,
-    ) -> Result<(), BackendError> {
-        self.gate_staged("multiply_batch")?;
-        self.multiply_batch(plan, a, b, out);
-        Ok(())
-    }
-
-    fn try_dev_forward(
-        &mut self,
-        plan: &RingPlan,
-        buf: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_forward", &[buf])?;
-        self.gate_launch("dev_forward")?;
-        self.dev_forward(plan, buf, level);
-        Ok(())
-    }
-
-    fn try_dev_inverse(
-        &mut self,
-        plan: &RingPlan,
-        buf: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_inverse", &[buf])?;
-        self.gate_launch("dev_inverse")?;
-        self.dev_inverse(plan, buf, level);
-        Ok(())
-    }
-
-    fn try_dev_multiply(
-        &mut self,
-        plan: &RingPlan,
-        a: DeviceBuf,
-        b: DeviceBuf,
-        out: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_multiply", &[a, b, out])?;
-        self.gate_launch("dev_multiply")?;
-        self.dev_multiply(plan, a, b, out, level);
-        Ok(())
-    }
-
-    fn try_dev_pointwise(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        rhs: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_pointwise", &[acc, rhs])?;
-        self.gate_launch("dev_pointwise")?;
-        self.dev_pointwise(plan, acc, rhs, level);
-        Ok(())
-    }
-
-    fn try_dev_fma(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        x: DeviceBuf,
-        y: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_fma", &[acc, x, y])?;
-        self.gate_launch("dev_fma")?;
-        self.dev_fma(plan, acc, x, y, level);
-        Ok(())
-    }
-
-    fn try_dev_rescale(
-        &mut self,
-        plan: &RingPlan,
-        buf: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_rescale", &[buf])?;
-        self.gate_launch("dev_rescale")?;
-        self.dev_rescale(plan, buf, level);
-        Ok(())
-    }
-
-    fn try_dev_decompose(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        digits: usize,
-        gadget_bits: u32,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_decompose", &[src, dst])?;
-        self.gate_launch("dev_decompose")?;
-        self.dev_decompose(plan, src, dst, level, digits, gadget_bits);
-        Ok(())
-    }
-
-    fn try_dev_automorphism(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        g: u64,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_automorphism", &[src, dst])?;
-        self.gate_launch("dev_automorphism")?;
-        self.dev_automorphism(plan, src, dst, level, g);
-        Ok(())
-    }
-
-    fn try_dev_modraise(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        to_level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_modraise", &[src, dst])?;
-        self.gate_launch("dev_modraise")?;
-        self.dev_modraise(plan, src, dst, to_level);
+        for (s, &stream) in self.streams.iter().enumerate() {
+            let dev = m.device_mut(s);
+            dev.bind(stream);
+            for &draw in draws {
+                dev.fault_gate(op, draw)?;
+            }
+        }
         Ok(())
     }
 }

@@ -18,14 +18,16 @@
 //! * [`fpga_baseline`] — an analytic model of the FCCM'20 FPGA NTT
 //!   accelerator the paper compares against in §VIII.
 //! * [`batch`] — device-side layout of polynomial data and twiddle tables.
-//! * [`backend`] — [`SimBackend`], the simulated-GPU implementation of
-//!   `ntt_core::backend::NttBackend`: the same plan-based batched trait
+//! * [`backend`] — the simulated-GPU implementation of
+//!   `ntt_core::backend::NttBackend`, one [`backend::DeviceBackend`]
+//!   over a [`backend::Placement`]: the same plan-based batched trait
 //!   calls the CPU engine serves, executed through the warp kernels
-//!   (bit-identical outputs, full traffic accounting).
-//! * [`sharded`] — [`ShardedBackend`], the same trait surface over `K`
-//!   simulated devices: RNS residue rows partition across shards and
-//!   key-switch base conversion pays an explicit all-gather over a
-//!   modeled inter-device link.
+//!   (bit-identical outputs, full traffic accounting). [`SimBackend`]
+//!   is that backend on one simulated device.
+//! * [`sharded`] — the cyclic `K`-device placement: [`ShardedBackend`]
+//!   is the same backend with RNS residue rows partitioned across
+//!   shards, where key-switch base conversion pays an explicit
+//!   all-gather over a modeled inter-device link.
 //! * [`report`] — run summaries (time, traffic, utilization) used by the
 //!   figure harness.
 //!

@@ -1,5 +1,5 @@
-//! `ShardedBackend`: multi-device RNS sharding behind the
-//! [`NttBackend`] seam.
+//! The cyclic multi-device placement: RNS sharding behind the
+//! [`NttBackend`](ntt_core::backend::NttBackend) seam.
 //!
 //! The RNS row decomposition that makes the paper's batched NTT
 //! embarrassingly parallel *within* one GPU also partitions cleanly
@@ -38,12 +38,17 @@
 //! (uncharged) GMEM accessors — the modeled cost is the explicit link
 //! charge, not a double-counted PCIe transfer.
 //!
-//! The swap is one constructor: [`ShardedBackend::titan_v`]`(k, n)`
-//! instead of [`crate::SimBackend::titan_v`]`()`. `K = 1` degenerates
-//! to the single-device backend (no link traffic, identical routing),
-//! and every output is **bit-identical** to `SimBackend` and
+//! [`ShardedMemory`] is a [`Placement`]: it only says which shard owns
+//! which rows and how rows move between shards. The ops, kernels,
+//! forward routing and fault gates are the single-device backend's
+//! ([`crate::backend::DeviceBackend`]), so [`ShardedBackend`] is that
+//! backend on this placement, built by [`ShardedBackend::titan_v`]`(k, n)`
+//! where [`crate::SimBackend::titan_v`]`()` builds it on one
+//! [`SimMemory`]. `K = 1` reproduces the single-device backend's
+//! launches, transfers and modeled times, and every output is
+//! **bit-identical** to `SimBackend` and
 //! [`ntt_core::backend::CpuBackend`] for any `K` — pinned by
-//! `tests/sharded.rs`.
+//! `tests/placement.rs` and `tests/sharded.rs`.
 //!
 //! # Operand misalignment
 //!
@@ -54,27 +59,15 @@
 //! up. The *written* operand's partition decides placement: each of
 //! its shard-local pieces runs where it lives, and any secondary
 //! operand piece resident elsewhere is gathered into shard-local
-//! scratch over the link first ([`ShardedMemory::gather`]). Aligned
+//! scratch over the link first ([`Placement::gather_rows`]). Aligned
 //! operands (the common case) gather into a zero-copy direct
 //! reference; misaligned ones pay honest link traffic.
 
-use crate::backend::{
-    calibrate_forward_choice, classify, ensure_tables, launch_automorphism, launch_elemwise,
-    run_forward, run_inverse, DevData, ElemOp, ForwardImpl, ForwardMode, ShapeChoice, SimMemory,
-    SMEM_MIN_N, THREADS,
-};
-use gpu_sim::{
-    Buf, DeviceTimeline, Event, FaultOp, GpuConfig, LaunchConfig, OpClass, Stream, WarpCtx,
-    WarpKernel,
-};
-use ntt_core::backend::{
-    handle_namespace, BackendError, DeviceBuf, DeviceMemory, LimbBatch, NttBackend, RingPlan,
-    SharedDeviceMemory, TransferStats,
-};
-use ntt_math::modops::{mul_mod, neg_mod, sub_mod};
+use crate::backend::{classify, DeviceBackend, Gathered, Placement, RowSeg, SimMemory};
+use gpu_sim::{Buf, DeviceTimeline, Event, FaultOp, GpuConfig, Stream};
+use ntt_core::backend::{handle_namespace, BackendError, DeviceBuf, DeviceMemory, TransferStats};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Inter-device link traffic ledger (the sharded counterpart of
 /// [`TransferStats`]; one entry per cross-shard move, words summed over
@@ -95,15 +88,6 @@ impl LinkStats {
             words: self.words - earlier.words,
         }
     }
-}
-
-/// Row range of a `rows`-row *host batch* handled by shard `s` of `k`
-/// (contiguous block split; early shards take the larger halves when
-/// `rows % k != 0`). Host-batch operands are transient — uploaded,
-/// transformed, downloaded in one call — so their split is free to
-/// differ from the cyclic partition device-resident allocations use.
-fn shard_rows(rows: usize, k: usize, s: usize) -> Range<usize> {
-    (s * rows / k)..((s + 1) * rows / k)
 }
 
 /// Number of residue rows of a `rows`-row allocation owned by shard
@@ -132,14 +116,6 @@ struct Seg {
     view: Range<usize>,
     /// The piece as a view into the shard-local allocation.
     local: DeviceBuf,
-}
-
-/// A secondary operand materialized on one shard: either a zero-copy
-/// reference to the resident piece or gathered scratch that must go
-/// back via [`ShardedMemory::release_gather`].
-struct Gathered {
-    buf: Buf,
-    scratch: bool,
 }
 
 /// `K` simulated devices joined by a modeled inter-device link, behind
@@ -209,8 +185,7 @@ impl ShardedMemory {
     /// serialized time, launches and transfers sum over the set.
     pub fn timeline(&self) -> DeviceTimeline {
         let mut agg = DeviceTimeline::default();
-        for sh in &self.shards {
-            let t = sh.gpu().timeline();
+        for t in self.shard_timelines() {
             agg.serialized_s += t.serialized_s;
             agg.overlapped_s = agg.overlapped_s.max(t.overlapped_s);
             agg.launches += t.launches;
@@ -231,12 +206,42 @@ impl ShardedMemory {
         }
     }
 
-    /// Whether a logical handle view still resolves to a live
-    /// allocation (mirrors `SimMemory::is_live`).
-    fn is_live(&self, buf: DeviceBuf) -> bool {
-        self.map
-            .get(&buf.id())
-            .is_some_and(|a| buf.base() + buf.len() <= a.len)
+    /// Words each shard holds of a `words`-word allocation, plus the
+    /// allocation's row count: cyclic row shares when it is row-shaped
+    /// at the partition granularity, else `0` rows and everything whole
+    /// on shard 0 (tables and odd scratch land there).
+    fn shares(&self, words: usize) -> (usize, Vec<usize>) {
+        let k = self.shards.len();
+        let rows = if words.is_multiple_of(self.n) {
+            words / self.n
+        } else {
+            0
+        };
+        let shares = (0..k)
+            .map(|s| match rows {
+                0 if s == 0 => words,
+                0 => 0,
+                _ => rows_on_shard(rows, k, s) * self.n,
+            })
+            .collect();
+        (rows, shares)
+    }
+
+    /// Draw `kind` from the fault plan of each shard holding part of
+    /// `view`, once per shard.
+    fn gate_view(
+        &mut self,
+        view: DeviceBuf,
+        op: &'static str,
+        kind: FaultOp,
+    ) -> Result<(), BackendError> {
+        let mut involved: Vec<usize> = self.segments(view).iter().map(|s| s.shard).collect();
+        involved.sort_unstable();
+        involved.dedup();
+        for s in involved {
+            self.shards[s].fault_gate(op, kind)?;
+        }
+        Ok(())
     }
 
     /// Split a logical view into its shard-local pieces, in view order.
@@ -378,123 +383,16 @@ impl ShardedMemory {
         self.link.words += words;
         (sent, landed)
     }
-
-    /// Materialize the given view rows of a row-aligned `view` on
-    /// shard `to`, in list order (`rows` are view-relative indices,
-    /// ascending).
-    ///
-    /// If every row already lives on `to` at consecutive local rows,
-    /// that span is returned directly — zero traffic, the
-    /// aligned-operand fast path (this is what the cyclic partition
-    /// buys: key-switch digit views hit it whenever `level % K == 0`).
-    /// Otherwise scratch is acquired on `to` and every row is pulled
-    /// in: same-shard rows move d2d, remote rows over the link. This
-    /// *is* the base-conversion all-gather when `view` is a decompose
-    /// source. Pair with [`release_gather`].
-    ///
-    /// [`release_gather`]: ShardedMemory::release_gather
-    fn gather_rows(&mut self, view: DeviceBuf, rows: &[usize], to: usize) -> Gathered {
-        let n = self.n;
-        // Resolve each requested row to (owning shard, span within the
-        // shard-local part) before touching any device state.
-        let locs: Vec<(usize, DeviceBuf)> = {
-            let a = self
-                .map
-                .get(&view.id())
-                .expect("freed or foreign DeviceBuf");
-            assert!(
-                view.base() + view.len() <= a.len,
-                "view outside its allocation"
-            );
-            assert_eq!(view.base() % n, 0, "gathered views must be row-aligned");
-            let k = self.shards.len();
-            let vb = view.base() / n;
-            rows.iter()
-                .map(|&j| {
-                    assert!((j + 1) * n <= view.len(), "gathered row outside the view");
-                    if a.rows == 0 {
-                        let part = a.parts[0].expect("unpartitioned alloc lives on shard 0");
-                        (0, part.sub(view.base() + j * n, n))
-                    } else {
-                        let g = vb + j;
-                        let part = a.parts[g % k].expect("owned rows have a local part");
-                        (g % k, part.sub((g / k) * n, n))
-                    }
-                })
-                .collect()
-        };
-        let aligned = !locs.is_empty()
-            && locs.iter().all(|(s, _)| *s == to)
-            && locs.windows(2).all(|w| w[0].1.base() + n == w[1].1.base());
-        if aligned {
-            let (b0, total) = (locs[0].1, rows.len() * n);
-            let span = DeviceBuf::root(b0.id(), b0.base() + total).sub(b0.base(), total);
-            let root = self.shards[to].root_base(span);
-            self.shards[to].wait_ready(&[root]);
-            return Gathered {
-                buf: self.shards[to].raw_buf(span),
-                scratch: false,
-            };
-        }
-        let scratch = self.shards[to].acquire_scratch(rows.len() * n);
-        let mut landings: Vec<Event> = Vec::new();
-        for (i, (s, local)) in locs.iter().enumerate() {
-            let dst = scratch.sub(i * n, n);
-            let root = self.shards[*s].root_base(*local);
-            let raw = self.shards[*s].raw_buf(*local);
-            if *s == to {
-                self.shards[to].wait_ready(&[root]);
-                self.shards[to].gpu_mut().gmem.copy(raw, dst);
-            } else {
-                // The copy engines do the waiting; `to`'s compute
-                // stream only fences on the landings, collected below.
-                let ready = self.shards[*s].ready_fence(&[root]);
-                let (sent, landed) = self.link_words(*s, ready, raw, to, dst);
-                self.shards[*s].fence_until(root, sent);
-                landings.push(landed);
-            }
-        }
-        let g = self.shards[to].gpu_mut();
-        let cs = g.active_stream();
-        for e in landings {
-            g.wait_event(cs, e);
-        }
-        Gathered {
-            buf: scratch,
-            scratch: true,
-        }
-    }
-
-    /// Return gathered scratch to shard `s`'s free list (no-op for the
-    /// zero-copy direct case).
-    fn release_gather(&mut self, s: usize, g: Gathered) {
-        if g.scratch {
-            self.shards[s].release_scratch(g.buf);
-        }
-    }
 }
 
 impl DeviceMemory for ShardedMemory {
     fn alloc(&mut self, words: usize) -> DeviceBuf {
-        let k = self.shards.len();
-        let rows = if words.is_multiple_of(self.n) {
-            words / self.n
-        } else {
-            0
-        };
-        let mut parts = vec![None; k];
-        if rows == 0 {
-            // Not row-shaped at the partition granularity: keep it
-            // whole on shard 0 (tables and odd scratch land here).
-            parts[0] = Some(self.shards[0].alloc(words));
-        } else {
-            for (s, part) in parts.iter_mut().enumerate() {
-                let share = rows_on_shard(rows, k, s);
-                if share > 0 {
-                    *part = Some(self.shards[s].alloc(share * self.n));
-                }
-            }
-        }
+        let (rows, shares) = self.shares(words);
+        let parts = shares
+            .into_iter()
+            .enumerate()
+            .map(|(s, w)| (w > 0 || (rows == 0 && s == 0)).then(|| self.shards[s].alloc(w)))
+            .collect();
         self.next_id += 1;
         self.map.insert(
             self.next_id,
@@ -611,25 +509,8 @@ impl DeviceMemory for ShardedMemory {
     }
 
     fn try_alloc(&mut self, words: usize) -> Result<DeviceBuf, BackendError> {
-        let k = self.shards.len();
-        let rows = if words.is_multiple_of(self.n) {
-            words / self.n
-        } else {
-            0
-        };
-        for s in 0..k {
-            let share = if rows == 0 {
-                if s == 0 {
-                    words
-                } else {
-                    0
-                }
-            } else {
-                rows_on_shard(rows, k, s) * self.n
-            };
-            if share == 0 {
-                continue;
-            }
+        let (_, shares) = self.shares(words);
+        for (s, share) in shares.into_iter().enumerate().filter(|&(_, w)| w > 0) {
             let projected = self.shards[s].gpu().gmem.allocated_words() + share;
             self.shards[s]
                 .gpu_mut()
@@ -643,16 +524,7 @@ impl DeviceMemory for ShardedMemory {
         if !self.is_live(dst) || src.len() > dst.len() {
             return Err(BackendError::Fatal { op: "upload" });
         }
-        let mut involved: Vec<usize> = self
-            .segments(dst.sub(0, src.len()))
-            .iter()
-            .map(|s| s.shard)
-            .collect();
-        involved.sort_unstable();
-        involved.dedup();
-        for s in involved {
-            self.shards[s].fault_gate("upload", FaultOp::Upload)?;
-        }
+        self.gate_view(dst.sub(0, src.len()), "upload", FaultOp::Upload)?;
         self.upload(dst, src);
         Ok(())
     }
@@ -661,1113 +533,194 @@ impl DeviceMemory for ShardedMemory {
         if !self.is_live(src) || dst.len() > src.len() {
             return Err(BackendError::Fatal { op: "download" });
         }
-        let mut involved: Vec<usize> = self
-            .segments(src.sub(0, dst.len()))
-            .iter()
-            .map(|s| s.shard)
-            .collect();
-        involved.sort_unstable();
-        involved.dedup();
-        for s in involved {
-            self.shards[s].fault_gate("download", FaultOp::Download)?;
-        }
+        self.gate_view(src.sub(0, dst.len()), "download", FaultOp::Download)?;
         self.download(src, dst);
         Ok(())
     }
 }
 
-/// Lock a shared [`ShardedMemory`], recovering from poisoning.
-fn lock_sharded(mem: &Arc<Mutex<ShardedMemory>>) -> MutexGuard<'_, ShardedMemory> {
-    mem.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+impl Placement for ShardedMemory {
+    const NAME: &'static str = "gpu-sim-sharded";
 
-/// One shard's slice of a device-op view under the cyclic partition:
-/// the view-relative row indices it owns (an ascending stride-`K`
-/// progression) and the locally *contiguous* piece holding them in
-/// that order.
-struct RowSeg {
-    shard: usize,
-    /// View-relative indices of the rows this shard owns, ascending.
-    rows: Vec<usize>,
-    /// The rows as one contiguous view into the shard-local part.
-    local: DeviceBuf,
-}
-
-/// Row-aligned shard pieces of a device-op view. Device ops always
-/// pass row-aligned views (the evaluator slices at digit boundaries),
-/// and the cyclic partition cuts on row boundaries by construction, so
-/// alignment is an invariant — the asserts catch a plan whose degree
-/// differs from the partition granularity before a kernel reads
-/// garbage.
-fn row_segments(m: &ShardedMemory, view: DeviceBuf, n: usize) -> Vec<RowSeg> {
-    assert_eq!(
-        n, m.n,
-        "ShardedBackend partitions at the ring degree it was constructed for"
-    );
-    let a = m.map.get(&view.id()).expect("freed or foreign DeviceBuf");
-    assert!(
-        view.base() + view.len() <= a.len,
-        "view outside its allocation"
-    );
-    assert_eq!(view.base() % n, 0, "device-op views must be row-aligned");
-    assert_eq!(view.len() % n, 0, "device-op views must be row-aligned");
-    let vrows = view.len() / n;
-    if a.rows == 0 {
-        let part = a.parts[0].expect("unpartitioned alloc lives on shard 0");
-        return vec![RowSeg {
-            shard: 0,
-            rows: (0..vrows).collect(),
-            local: part.sub(view.base(), view.len()),
-        }];
+    fn devices(&self) -> usize {
+        self.shards.len()
     }
-    let k = m.shards.len();
-    let vb = view.base() / n;
-    let mut out = Vec::new();
-    for s in 0..k {
-        // First global row >= vb congruent to s mod k.
-        let g0 = vb + ((s + k - vb % k) % k);
-        if g0 >= vb + vrows {
-            continue;
+
+    fn device(&self, s: usize) -> &SimMemory {
+        &self.shards[s]
+    }
+
+    fn device_mut(&mut self, s: usize) -> &mut SimMemory {
+        &mut self.shards[s]
+    }
+
+    /// Row-aligned shard pieces of a device-op view. Device ops always
+    /// pass row-aligned views (the evaluator slices at digit boundaries),
+    /// and the cyclic partition cuts on row boundaries by construction,
+    /// so alignment is an invariant — the asserts catch a plan whose
+    /// degree differs from the partition granularity before a kernel
+    /// reads garbage.
+    fn row_segments(&self, view: DeviceBuf, n: usize) -> Vec<RowSeg> {
+        assert_eq!(
+            n, self.n,
+            "ShardedBackend partitions at the ring degree it was constructed for"
+        );
+        let a = self
+            .map
+            .get(&view.id())
+            .expect("freed or foreign DeviceBuf");
+        assert!(
+            view.base() + view.len() <= a.len,
+            "view outside its allocation"
+        );
+        assert_eq!(view.base() % n, 0, "device-op views must be row-aligned");
+        assert_eq!(view.len() % n, 0, "device-op views must be row-aligned");
+        let vrows = view.len() / n;
+        if a.rows == 0 {
+            let part = a.parts[0].expect("unpartitioned alloc lives on shard 0");
+            return vec![RowSeg {
+                shard: 0,
+                rows: (0..vrows).collect(),
+                local: part.sub(view.base(), view.len()),
+            }];
         }
-        let count = (vb + vrows - g0).div_ceil(k);
-        let part = a.parts[s].expect("owned rows have a local part");
-        out.push(RowSeg {
-            shard: s,
-            rows: (0..count).map(|i| g0 + i * k - vb).collect(),
-            local: part.sub((g0 / k) * n, count * n),
-        });
+        let k = self.shards.len();
+        let vb = view.base() / n;
+        let mut out = Vec::new();
+        for s in 0..k {
+            // First global row >= vb congruent to s mod k.
+            let g0 = vb + ((s + k - vb % k) % k);
+            if g0 >= vb + vrows {
+                continue;
+            }
+            let count = (vb + vrows - g0).div_ceil(k);
+            let part = a.parts[s].expect("owned rows have a local part");
+            out.push(RowSeg {
+                shard: s,
+                rows: (0..count).map(|i| g0 + i * k - vb).collect(),
+                local: part.sub((g0 / k) * n, count * n),
+            });
+        }
+        out
     }
-    out
-}
 
-/// Per-shard staging buffers (one [`SimBackend`]-style set per device).
-///
-/// [`SimBackend`]: crate::SimBackend
-#[derive(Default)]
-struct ShardStaging {
-    /// Primary host-batch operand.
-    data: DevData,
-    /// Secondary host-batch operand.
-    scratch: DevData,
-    /// `dev_multiply`'s second-operand scratch.
-    mul_scratch: DevData,
+    /// Materialize the given view rows of a row-aligned `view` on
+    /// shard `to`, in list order (`rows` are view-relative indices,
+    /// ascending).
+    ///
+    /// If every row already lives on `to` at consecutive local rows,
+    /// that span is returned directly — zero traffic, the
+    /// aligned-operand fast path (this is what the cyclic partition
+    /// buys: key-switch digit views hit it whenever `level % K == 0`).
+    /// Otherwise scratch is acquired on `to` and every row is pulled
+    /// in: same-shard rows move d2d, remote rows over the link. This
+    /// *is* the base-conversion all-gather when `view` is a decompose
+    /// source. Pair with [`release_gather`].
+    ///
+    /// [`release_gather`]: Placement::release_gather
+    fn gather_rows(&mut self, view: DeviceBuf, rows: &[usize], to: usize, n: usize) -> Gathered {
+        // Resolve each requested row to (owning shard, span within the
+        // shard-local part) before touching any device state.
+        let locs: Vec<(usize, DeviceBuf)> = {
+            let a = self
+                .map
+                .get(&view.id())
+                .expect("freed or foreign DeviceBuf");
+            assert!(
+                view.base() + view.len() <= a.len,
+                "view outside its allocation"
+            );
+            assert_eq!(view.base() % n, 0, "gathered views must be row-aligned");
+            let k = self.shards.len();
+            let vb = view.base() / n;
+            rows.iter()
+                .map(|&j| {
+                    assert!((j + 1) * n <= view.len(), "gathered row outside the view");
+                    if a.rows == 0 {
+                        let part = a.parts[0].expect("unpartitioned alloc lives on shard 0");
+                        (0, part.sub(view.base() + j * n, n))
+                    } else {
+                        let g = vb + j;
+                        let part = a.parts[g % k].expect("owned rows have a local part");
+                        (g % k, part.sub((g / k) * n, n))
+                    }
+                })
+                .collect()
+        };
+        let aligned = !locs.is_empty()
+            && locs.iter().all(|(s, _)| *s == to)
+            && locs.windows(2).all(|w| w[0].1.base() + n == w[1].1.base());
+        if aligned {
+            let (b0, total) = (locs[0].1, rows.len() * n);
+            let span = DeviceBuf::root(b0.id(), b0.base() + total).sub(b0.base(), total);
+            let root = self.shards[to].root_base(span);
+            self.shards[to].wait_ready(&[root]);
+            return Gathered {
+                buf: self.shards[to].raw_buf(span),
+                scratch: false,
+            };
+        }
+        let scratch = self.shards[to].acquire_scratch(rows.len() * n);
+        let mut landings: Vec<Event> = Vec::new();
+        for (i, (s, local)) in locs.iter().enumerate() {
+            let dst = scratch.sub(i * n, n);
+            let root = self.shards[*s].root_base(*local);
+            let raw = self.shards[*s].raw_buf(*local);
+            if *s == to {
+                self.shards[to].wait_ready(&[root]);
+                self.shards[to].gpu_mut().gmem.copy(raw, dst);
+            } else {
+                // The copy engines do the waiting; `to`'s compute
+                // stream only fences on the landings, collected below.
+                let ready = self.shards[*s].ready_fence(&[root]);
+                let (sent, landed) = self.link_words(*s, ready, raw, to, dst);
+                self.shards[*s].fence_until(root, sent);
+                landings.push(landed);
+            }
+        }
+        let g = self.shards[to].gpu_mut();
+        let cs = g.active_stream();
+        for e in landings {
+            g.wait_event(cs, e);
+        }
+        Gathered {
+            buf: scratch,
+            scratch: true,
+        }
+    }
+
+    fn is_live(&self, buf: DeviceBuf) -> bool {
+        self.map
+            .get(&buf.id())
+            .is_some_and(|a| buf.base() + buf.len() <= a.len)
+    }
 }
 
 /// The multi-device backend: `K` simulated GPUs, each owning the
 /// cyclic slice `r ≡ s (mod K)` of the RNS residue rows, joined by a
-/// modeled inter-device link. Same [`NttBackend`] surface as
-/// [`crate::SimBackend`] — the swap is the constructor. See the module
+/// modeled inter-device link. The same [`DeviceBackend`] as
+/// [`crate::SimBackend`] on a different [`Placement`] — see the module
 /// docs for the partition and traffic model.
-pub struct ShardedBackend {
-    mem: Arc<Mutex<ShardedMemory>>,
-    /// This executor's stream on each shard (index = shard).
-    streams: Vec<Stream>,
-    /// This executor's staging buffers on each shard.
-    staging: Vec<ShardStaging>,
-    /// Memoized per-`N` forward choice, shared by forks.
-    split_cache: Arc<Mutex<HashMap<usize, ShapeChoice>>>,
-}
+pub type ShardedBackend = DeviceBackend<ShardedMemory>;
 
 impl ShardedBackend {
     /// `shards` devices of one model, partitioning rings of `degree`.
-    ///
-    /// An `NTT_WARP_FAULTS` plan is armed on **every** shard — each
-    /// device draws its own schedule, so fault rates scale with the
-    /// device count the way a real multi-GPU node's do.
     pub fn new(config: GpuConfig, shards: usize, degree: usize) -> Self {
-        let backend = Self {
-            mem: Arc::new(Mutex::new(ShardedMemory::new(config, shards, degree))),
-            streams: vec![Stream::DEFAULT; shards],
-            staging: (0..shards).map(|_| ShardStaging::default()).collect(),
-            split_cache: Arc::new(Mutex::new(HashMap::new())),
-        };
-        if let Some(plan) = gpu_sim::FaultPlan::from_env() {
-            backend.set_fault_plan(Some(plan));
-        }
-        backend
+        Self::with_memory(ShardedMemory::new(config, shards, degree))
     }
 
     /// `shards` Titan-V-model devices for rings of `degree`.
     pub fn titan_v(shards: usize, degree: usize) -> Self {
         Self::new(GpuConfig::titan_v(), shards, degree)
     }
-
-    /// Arm (or disarm) a deterministic fault schedule on every shard.
-    pub fn set_fault_plan(&self, plan: Option<gpu_sim::FaultPlan>) {
-        let mut m = self.lock();
-        for sh in &mut m.shards {
-            sh.gpu_mut().set_fault_plan(plan.clone());
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, ShardedMemory> {
-        lock_sharded(&self.mem)
-    }
-
-    /// A clone of the shared sharded-memory handle (timeline, link
-    /// ledger, per-shard devices) for harness observation.
-    pub fn memory_handle(&self) -> Arc<Mutex<ShardedMemory>> {
-        Arc::clone(&self.mem)
-    }
-
-    /// Number of devices in the shard set.
-    pub fn shard_count(&self) -> usize {
-        self.streams.len()
-    }
-
-    /// Aggregate timeline over the shard set (see
-    /// [`ShardedMemory::timeline`]).
-    pub fn timeline(&self) -> DeviceTimeline {
-        self.lock().timeline()
-    }
-
-    /// The inter-device traffic ledger.
-    pub fn link_stats(&self) -> LinkStats {
-        self.lock().link_stats()
-    }
-
-    /// Drain every shard's stream schedule.
-    pub fn sync_all(&self) {
-        self.lock().sync_all();
-    }
-
-    /// Host↔device transfer ledger summed over shards.
-    pub fn transfer_stats(&self) -> TransferStats {
-        self.lock().stats()
-    }
-
-    /// Bind every shard's active stream to this executor.
-    fn bind_all(&self, m: &mut ShardedMemory) {
-        for (s, sh) in m.shards.iter_mut().enumerate() {
-            sh.bind(self.streams[s]);
-        }
-    }
-
-    /// Forward-implementation routing, identical to
-    /// [`crate::SimBackend`]'s: env override, small-shape radix-2
-    /// floor, else the memoized calibration winner (swept on a scratch
-    /// single device — per-shard row counts shrink with `K`, but the
-    /// shape class is decided by `N`).
-    fn forward_choice(&self, n: usize, rows: usize) -> ForwardImpl {
-        match crate::backend::forward_mode() {
-            ForwardMode::Radix2 => return ForwardImpl::Radix2,
-            ForwardMode::Smem if n >= 4 => {
-                return self.cached_or_calibrated(n, rows).best_smem;
-            }
-            ForwardMode::Hier if n >= 4 => {
-                return self.cached_or_calibrated(n, rows).best_hier;
-            }
-            _ => {}
-        }
-        if n < SMEM_MIN_N {
-            return ForwardImpl::Radix2;
-        }
-        self.cached_or_calibrated(n, rows).auto
-    }
-
-    fn cached_or_calibrated(&self, n: usize, rows: usize) -> ShapeChoice {
-        if let Some(&c) = self
-            .split_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&n)
-        {
-            return c;
-        }
-        let config = self.lock().shards[0].gpu().config.clone();
-        let choice = calibrate_forward_choice(&config, n, rows);
-        self.split_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(n, choice);
-        choice
-    }
-
-    /// Fault gates for one staged host-batch op: every shard stages
-    /// its own rows, so each draws upload + launch + download.
-    fn gate_staged(&self, op: &'static str) -> Result<(), BackendError> {
-        let mut m = self.lock();
-        for (s, sh) in m.shards.iter_mut().enumerate() {
-            sh.bind(self.streams[s]);
-            sh.fault_gate(op, FaultOp::Upload)?;
-            sh.fault_gate(op, FaultOp::Launch)?;
-            sh.fault_gate(op, FaultOp::Download)?;
-        }
-        Ok(())
-    }
-
-    /// Launch-class gate for one device-resident op, drawn per shard.
-    fn gate_launch(&self, op: &'static str) -> Result<(), BackendError> {
-        let mut m = self.lock();
-        for (s, sh) in m.shards.iter_mut().enumerate() {
-            sh.bind(self.streams[s]);
-            sh.fault_gate(op, FaultOp::Launch)?;
-        }
-        Ok(())
-    }
-
-    /// Freed/foreign handles surface as [`BackendError::Fatal`] on the
-    /// fallible paths (the infallible ones treat them as invariant
-    /// violations, as on [`crate::SimBackend`]).
-    fn check_handles(&self, op: &'static str, bufs: &[DeviceBuf]) -> Result<(), BackendError> {
-        let m = self.lock();
-        if bufs.iter().all(|&b| m.is_live(b)) {
-            Ok(())
-        } else {
-            Err(BackendError::Fatal { op })
-        }
-    }
-}
-
-impl Drop for ShardedBackend {
-    fn drop(&mut self) {
-        let mut m = lock_sharded(&self.mem);
-        for (s, &st) in self.streams.iter().enumerate() {
-            if st != Stream::DEFAULT {
-                m.shards[s].gpu_mut().destroy_stream(st);
-            }
-        }
-    }
-}
-
-impl NttBackend for ShardedBackend {
-    fn name(&self) -> &'static str {
-        "gpu-sim-sharded"
-    }
-
-    fn memory(&self) -> SharedDeviceMemory {
-        let shared: SharedDeviceMemory = self.mem.clone();
-        shared
-    }
-
-    fn fork(&self) -> Box<dyn NttBackend> {
-        let mut m = self.lock();
-        let streams: Vec<Stream> = m
-            .shards
-            .iter_mut()
-            .map(|sh| sh.gpu_mut().create_stream())
-            .collect();
-        let shards = streams.len();
-        Box::new(ShardedBackend {
-            mem: Arc::clone(&self.mem),
-            streams,
-            staging: (0..shards).map(|_| ShardStaging::default()).collect(),
-            split_cache: Arc::clone(&self.split_cache),
-        })
-    }
-
-    fn prefers_residency(&self) -> bool {
-        true
-    }
-
-    fn bind_stream(&self) {
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-    }
-
-    fn forward_batch(&mut self, plan: &RingPlan, mut batch: LimbBatch<'_>) {
-        let (n, level) = (batch.n(), batch.level());
-        let rows = batch.rows();
-        let choice = self.forward_choice(n, rows);
-        let mut m = lock_sharded(&self.mem);
-        let k = m.shards.len();
-        for s in 0..k {
-            let r = shard_rows(rows, k, s);
-            if r.is_empty() {
-                continue;
-            }
-            let row_prime: Vec<usize> = r.clone().map(|r| r % level).collect();
-            let words = r.len() * n;
-            let sh = &mut m.shards[s];
-            sh.bind(self.streams[s]);
-            ensure_tables(sh, plan);
-            let buf = self.staging[s].data.ensure(sh.gpu_mut(), words);
-            let buf = buf.sub(0, words);
-            sh.wait_ready(&[buf.base()]);
-            sh.gpu_mut()
-                .stream_upload(buf, 0, &batch.as_slice()[r.start * n..r.end * n]);
-            run_forward(sh, plan, buf, &row_prime, choice);
-            sh.gpu_mut()
-                .stream_download(buf, &mut batch.data()[r.start * n..r.end * n]);
-            sh.mark_written(&[buf.base()]);
-        }
-    }
-
-    fn inverse_batch(&mut self, plan: &RingPlan, mut batch: LimbBatch<'_>) {
-        let (n, level) = (batch.n(), batch.level());
-        let rows = batch.as_slice().len() / n;
-        let mut m = lock_sharded(&self.mem);
-        let k = m.shards.len();
-        for s in 0..k {
-            let r = shard_rows(rows, k, s);
-            if r.is_empty() {
-                continue;
-            }
-            let row_prime: Vec<usize> = r.clone().map(|r| r % level).collect();
-            let words = r.len() * n;
-            let sh = &mut m.shards[s];
-            sh.bind(self.streams[s]);
-            ensure_tables(sh, plan);
-            let buf = self.staging[s].data.ensure(sh.gpu_mut(), words);
-            let buf = buf.sub(0, words);
-            sh.wait_ready(&[buf.base()]);
-            sh.gpu_mut()
-                .stream_upload(buf, 0, &batch.as_slice()[r.start * n..r.end * n]);
-            run_inverse(sh, buf, &row_prime);
-            sh.gpu_mut()
-                .stream_download(buf, &mut batch.data()[r.start * n..r.end * n]);
-            sh.mark_written(&[buf.base()]);
-        }
-    }
-
-    fn pointwise_batch(&mut self, plan: &RingPlan, mut acc: LimbBatch<'_>, rhs: &[u64]) {
-        assert_eq!(acc.as_slice().len(), rhs.len(), "operand shape mismatch");
-        let (n, level) = (acc.n(), acc.level());
-        let rows = acc.as_slice().len() / n;
-        let mut m = lock_sharded(&self.mem);
-        let k = m.shards.len();
-        for s in 0..k {
-            let r = shard_rows(rows, k, s);
-            if r.is_empty() {
-                continue;
-            }
-            let row_prime: Vec<usize> = r.clone().map(|r| r % level).collect();
-            let words = r.len() * n;
-            let sh = &mut m.shards[s];
-            sh.bind(self.streams[s]);
-            ensure_tables(sh, plan);
-            let abuf = self.staging[s].data.ensure(sh.gpu_mut(), words);
-            let abuf = abuf.sub(0, words);
-            let bbuf = self.staging[s].scratch.ensure(sh.gpu_mut(), words);
-            let bbuf = bbuf.sub(0, words);
-            sh.wait_ready(&[abuf.base(), bbuf.base()]);
-            sh.gpu_mut()
-                .stream_upload(abuf, 0, &acc.as_slice()[r.start * n..r.end * n]);
-            sh.gpu_mut()
-                .stream_upload(bbuf, 0, &rhs[r.start * n..r.end * n]);
-            launch_elemwise(sh, ElemOp::Mul, abuf, Some(bbuf), None, n, &row_prime);
-            sh.gpu_mut()
-                .stream_download(abuf, &mut acc.data()[r.start * n..r.end * n]);
-            sh.mark_written(&[abuf.base(), bbuf.base()]);
-        }
-    }
-
-    fn multiply_batch(&mut self, plan: &RingPlan, a: &[u64], b: &[u64], mut out: LimbBatch<'_>) {
-        assert_eq!(a.len(), out.as_slice().len(), "operand shape mismatch");
-        assert_eq!(b.len(), out.as_slice().len(), "operand shape mismatch");
-        let (n, level) = (out.n(), out.level());
-        let rows = a.len() / n;
-        let choice = self.forward_choice(n, rows);
-        let mut m = lock_sharded(&self.mem);
-        let k = m.shards.len();
-        for s in 0..k {
-            let r = shard_rows(rows, k, s);
-            if r.is_empty() {
-                continue;
-            }
-            let row_prime: Vec<usize> = r.clone().map(|r| r % level).collect();
-            let words = r.len() * n;
-            let sh = &mut m.shards[s];
-            sh.bind(self.streams[s]);
-            ensure_tables(sh, plan);
-            let abuf = self.staging[s].data.ensure(sh.gpu_mut(), words);
-            let abuf = abuf.sub(0, words);
-            let bbuf = self.staging[s].scratch.ensure(sh.gpu_mut(), words);
-            let bbuf = bbuf.sub(0, words);
-            sh.wait_ready(&[abuf.base(), bbuf.base()]);
-            sh.gpu_mut()
-                .stream_upload(abuf, 0, &a[r.start * n..r.end * n]);
-            sh.gpu_mut()
-                .stream_upload(bbuf, 0, &b[r.start * n..r.end * n]);
-            run_forward(sh, plan, abuf, &row_prime, choice);
-            run_forward(sh, plan, bbuf, &row_prime, choice);
-            launch_elemwise(sh, ElemOp::Mul, abuf, Some(bbuf), None, n, &row_prime);
-            run_inverse(sh, abuf, &row_prime);
-            sh.gpu_mut()
-                .stream_download(abuf, &mut out.data()[r.start * n..r.end * n]);
-            sh.mark_written(&[abuf.base(), bbuf.base()]);
-        }
-    }
-
-    // ---- Device-resident execution ---------------------------------
-
-    fn dev_forward(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let n = plan.degree();
-        let rows = buf.len() / n;
-        let choice = self.forward_choice(n, rows);
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        for seg in row_segments(&m, buf, n) {
-            let row_prime: Vec<usize> = seg.rows.iter().map(|&r| r % level).collect();
-            let sh = &mut m.shards[seg.shard];
-            ensure_tables(sh, plan);
-            let root = sh.root_base(seg.local);
-            let data = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            run_forward(sh, plan, data, &row_prime, choice);
-            sh.mark_written(&[root]);
-        }
-    }
-
-    fn dev_inverse(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let n = plan.degree();
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        for seg in row_segments(&m, buf, n) {
-            let row_prime: Vec<usize> = seg.rows.iter().map(|&r| r % level).collect();
-            let sh = &mut m.shards[seg.shard];
-            ensure_tables(sh, plan);
-            let root = sh.root_base(seg.local);
-            let data = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            run_inverse(sh, data, &row_prime);
-            sh.mark_written(&[root]);
-        }
-    }
-
-    fn dev_multiply(
-        &mut self,
-        plan: &RingPlan,
-        a: DeviceBuf,
-        b: DeviceBuf,
-        out: DeviceBuf,
-        level: usize,
-    ) {
-        let n = plan.degree();
-        let rows = out.len() / n;
-        let choice = self.forward_choice(n, rows);
-        let mut m = lock_sharded(&self.mem);
-        self.bind_all(&mut m);
-        for seg in row_segments(&m, out, n) {
-            let s = seg.shard;
-            let row_prime: Vec<usize> = seg.rows.iter().map(|&r| r % level).collect();
-            let words = seg.rows.len() * n;
-            ensure_tables(&mut m.shards[s], plan);
-            let ga = m.gather_rows(a, &seg.rows, s);
-            let gb = m.gather_rows(b, &seg.rows, s);
-            let sh = &mut m.shards[s];
-            let oroot = sh.root_base(seg.local);
-            let oraw = sh.raw_buf(seg.local);
-            let scratch = self.staging[s].mul_scratch.ensure(sh.gpu_mut(), words);
-            let scratch = scratch.sub(0, words);
-            sh.wait_ready(&[oroot, scratch.base()]);
-            // Stage both operands on the owning shard (inputs intact).
-            sh.gpu_mut().gmem.copy(ga.buf, oraw);
-            sh.gpu_mut().gmem.copy(gb.buf, scratch);
-            run_forward(sh, plan, oraw, &row_prime, choice);
-            run_forward(sh, plan, scratch, &row_prime, choice);
-            launch_elemwise(sh, ElemOp::Mul, oraw, Some(scratch), None, n, &row_prime);
-            run_inverse(sh, oraw, &row_prime);
-            sh.mark_written(&[oroot, scratch.base()]);
-            m.release_gather(s, ga);
-            m.release_gather(s, gb);
-        }
-    }
-
-    fn dev_pointwise(&mut self, plan: &RingPlan, acc: DeviceBuf, rhs: DeviceBuf, level: usize) {
-        let n = plan.degree();
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        for seg in row_segments(&m, acc, n) {
-            let s = seg.shard;
-            let row_prime: Vec<usize> = seg.rows.iter().map(|&r| r % level).collect();
-            ensure_tables(&mut m.shards[s], plan);
-            let g = m.gather_rows(rhs, &seg.rows, s);
-            let sh = &mut m.shards[s];
-            let root = sh.root_base(seg.local);
-            let araw = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            launch_elemwise(sh, ElemOp::Mul, araw, Some(g.buf), None, n, &row_prime);
-            sh.mark_written(&[root]);
-            m.release_gather(s, g);
-        }
-    }
-
-    fn dev_fma(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        x: DeviceBuf,
-        y: DeviceBuf,
-        level: usize,
-    ) {
-        let n = plan.degree();
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        for seg in row_segments(&m, acc, n) {
-            let s = seg.shard;
-            let row_prime: Vec<usize> = seg.rows.iter().map(|&r| r % level).collect();
-            ensure_tables(&mut m.shards[s], plan);
-            // The key-switch inner product lands here: `x` is a digit
-            // sub-view of the decompose scratch at row offset
-            // `d * level`. The cyclic partition makes that view land on
-            // the accumulator's shards whenever `level % K == 0` — the
-            // zero-copy fast path in `gather_rows` — and any genuinely
-            // misaligned view (e.g. `K = 3` with `level = 8`) arrives
-            // over the link, correct either way.
-            let gx = m.gather_rows(x, &seg.rows, s);
-            let gy = m.gather_rows(y, &seg.rows, s);
-            let sh = &mut m.shards[s];
-            let root = sh.root_base(seg.local);
-            let araw = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            launch_elemwise(
-                sh,
-                ElemOp::Fma,
-                araw,
-                Some(gx.buf),
-                Some(gy.buf),
-                n,
-                &row_prime,
-            );
-            sh.mark_written(&[root]);
-            m.release_gather(s, gx);
-            m.release_gather(s, gy);
-        }
-    }
-
-    fn dev_addsub(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        rhs: DeviceBuf,
-        level: usize,
-        subtract: bool,
-    ) {
-        let n = plan.degree();
-        let op = if subtract { ElemOp::Sub } else { ElemOp::Add };
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        for seg in row_segments(&m, acc, n) {
-            let s = seg.shard;
-            let row_prime: Vec<usize> = seg.rows.iter().map(|&r| r % level).collect();
-            ensure_tables(&mut m.shards[s], plan);
-            let g = m.gather_rows(rhs, &seg.rows, s);
-            let sh = &mut m.shards[s];
-            let root = sh.root_base(seg.local);
-            let araw = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            launch_elemwise(sh, op, araw, Some(g.buf), None, n, &row_prime);
-            sh.mark_written(&[root]);
-            m.release_gather(s, g);
-        }
-    }
-
-    fn dev_negate(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        let n = plan.degree();
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        for seg in row_segments(&m, buf, n) {
-            let row_prime: Vec<usize> = seg.rows.iter().map(|&r| r % level).collect();
-            let sh = &mut m.shards[seg.shard];
-            ensure_tables(sh, plan);
-            let root = sh.root_base(seg.local);
-            let araw = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            launch_elemwise(sh, ElemOp::Neg, araw, None, None, n, &row_prime);
-            sh.mark_written(&[root]);
-        }
-    }
-
-    fn dev_rescale(&mut self, plan: &RingPlan, buf: DeviceBuf, level: usize) {
-        assert!(level > 1, "cannot rescale past the last prime");
-        let n = plan.degree();
-        let primes = plan.ring().basis().primes();
-        let p_last = primes[level - 1];
-        let inv_p: Vec<(u64, u64)> = primes[..level - 1]
-            .iter()
-            .map(|&p| {
-                (
-                    ntt_math::inv_mod(p_last % p, p).expect("distinct primes are coprime"),
-                    p,
-                )
-            })
-            .collect();
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        // Rows 0..level-1 rescale in place; every owning shard needs
-        // the dropped last row — a broadcast of N words per remote
-        // shard over the link.
-        let data_view = buf.sub(0, (level - 1) * n);
-        for seg in row_segments(&m, data_view, n) {
-            let s = seg.shard;
-            ensure_tables(&mut m.shards[s], plan);
-            let last = m.gather_rows(buf, &[level - 1], s);
-            let inv: Vec<(u64, u64)> = seg.rows.iter().map(|&r| inv_p[r]).collect();
-            let sh = &mut m.shards[s];
-            let root = sh.root_base(seg.local);
-            let data = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            let kernel = ShardRescaleKernel {
-                data,
-                last: last.buf,
-                n,
-                rows: seg.rows.len(),
-                inv_p: &inv,
-            };
-            let blocks = (seg.rows.len() * n).div_ceil(THREADS);
-            let cfg = LaunchConfig::new("sim-rescale", blocks, THREADS).regs_per_thread(40);
-            sh.gpu_mut().launch(&kernel, &cfg);
-            sh.mark_written(&[root]);
-            m.release_gather(s, last);
-        }
-    }
-
-    fn dev_decompose(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        digits: usize,
-        gadget_bits: u32,
-    ) {
-        let n = plan.degree();
-        assert_eq!(src.len(), level * n, "source must be level x N");
-        assert_eq!(
-            dst.len(),
-            level * digits * level * n,
-            "digit buffer shape mismatch"
-        );
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        // Every digit reads every residue row of the source: the
-        // sharded base conversion is an all-gather of the remote rows
-        // (≈ (K-1)/K · level · N words across the link per shard).
-        let all_src_rows: Vec<usize> = (0..level).collect();
-        for seg in row_segments(&m, dst, n) {
-            let s = seg.shard;
-            ensure_tables(&mut m.shards[s], plan);
-            let gsrc = m.gather_rows(src, &all_src_rows, s);
-            let sh = &mut m.shards[s];
-            let root = sh.root_base(seg.local);
-            let draw = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            let kernel = ShardDecomposeKernel {
-                src: gsrc.buf,
-                dst: draw,
-                n,
-                level,
-                digits,
-                gadget_bits,
-                rows: &seg.rows,
-            };
-            let blocks = (seg.rows.len() * n).div_ceil(THREADS);
-            let cfg = LaunchConfig::new("sim-decompose", blocks, THREADS).regs_per_thread(40);
-            sh.gpu_mut().launch(&kernel, &cfg);
-            sh.mark_written(&[root]);
-            m.release_gather(s, gsrc);
-        }
-    }
-
-    fn dev_automorphism(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        g: u64,
-    ) {
-        let n = plan.degree();
-        assert_eq!(src.len(), dst.len(), "operand shape mismatch");
-        let g = g % (2 * n as u64);
-        assert_eq!(g % 2, 1, "Galois element must be odd");
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        // The permutation is row-local, so each dst row needs exactly
-        // its own src row — aligned allocations stay link-free.
-        for seg in row_segments(&m, dst, n) {
-            let s = seg.shard;
-            let row_prime: Vec<usize> = seg.rows.iter().map(|&r| r % level).collect();
-            ensure_tables(&mut m.shards[s], plan);
-            let gsrc = m.gather_rows(src, &seg.rows, s);
-            let sh = &mut m.shards[s];
-            let root = sh.root_base(seg.local);
-            let draw = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            launch_automorphism(sh, gsrc.buf, draw, n, g, &row_prime);
-            sh.mark_written(&[root]);
-            m.release_gather(s, gsrc);
-        }
-    }
-
-    fn dev_modraise(&mut self, plan: &RingPlan, src: DeviceBuf, dst: DeviceBuf, to_level: usize) {
-        let n = plan.degree();
-        assert_eq!(src.len(), n, "mod-raise source must be one level-1 row");
-        assert_eq!(dst.len(), to_level * n, "mod-raise destination shape");
-        let moduli = plan.ring().basis().primes().to_vec();
-        let p0 = moduli[0];
-        let mut m = self.lock();
-        self.bind_all(&mut m);
-        // Broadcast the single source row to every shard owning
-        // destination rows.
-        for seg in row_segments(&m, dst, n) {
-            let s = seg.shard;
-            ensure_tables(&mut m.shards[s], plan);
-            let gsrc = m.gather_rows(src, &[0], s);
-            let sh = &mut m.shards[s];
-            let root = sh.root_base(seg.local);
-            let draw = sh.raw_buf(seg.local);
-            sh.wait_ready(&[root]);
-            let kernel = ShardModRaiseKernel {
-                src: gsrc.buf,
-                dst: draw,
-                n,
-                rows: &seg.rows,
-                p0,
-                moduli: &moduli,
-            };
-            let blocks = (seg.rows.len() * n).div_ceil(THREADS);
-            let cfg = LaunchConfig::new("sim-modraise", blocks, THREADS).regs_per_thread(40);
-            sh.gpu_mut().launch(&kernel, &cfg);
-            sh.mark_written(&[root]);
-            m.release_gather(s, gsrc);
-        }
-    }
-
-    // ---- Fallible surface: gate-then-delegate, per shard -----------
-
-    fn try_forward_batch(
-        &mut self,
-        plan: &RingPlan,
-        batch: LimbBatch<'_>,
-    ) -> Result<(), BackendError> {
-        self.gate_staged("forward_batch")?;
-        self.forward_batch(plan, batch);
-        Ok(())
-    }
-
-    fn try_inverse_batch(
-        &mut self,
-        plan: &RingPlan,
-        batch: LimbBatch<'_>,
-    ) -> Result<(), BackendError> {
-        self.gate_staged("inverse_batch")?;
-        self.inverse_batch(plan, batch);
-        Ok(())
-    }
-
-    fn try_pointwise_batch(
-        &mut self,
-        plan: &RingPlan,
-        acc: LimbBatch<'_>,
-        rhs: &[u64],
-    ) -> Result<(), BackendError> {
-        self.gate_staged("pointwise_batch")?;
-        self.pointwise_batch(plan, acc, rhs);
-        Ok(())
-    }
-
-    fn try_multiply_batch(
-        &mut self,
-        plan: &RingPlan,
-        a: &[u64],
-        b: &[u64],
-        out: LimbBatch<'_>,
-    ) -> Result<(), BackendError> {
-        self.gate_staged("multiply_batch")?;
-        self.multiply_batch(plan, a, b, out);
-        Ok(())
-    }
-
-    fn try_dev_forward(
-        &mut self,
-        plan: &RingPlan,
-        buf: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_forward", &[buf])?;
-        self.gate_launch("dev_forward")?;
-        self.dev_forward(plan, buf, level);
-        Ok(())
-    }
-
-    fn try_dev_inverse(
-        &mut self,
-        plan: &RingPlan,
-        buf: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_inverse", &[buf])?;
-        self.gate_launch("dev_inverse")?;
-        self.dev_inverse(plan, buf, level);
-        Ok(())
-    }
-
-    fn try_dev_multiply(
-        &mut self,
-        plan: &RingPlan,
-        a: DeviceBuf,
-        b: DeviceBuf,
-        out: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_multiply", &[a, b, out])?;
-        self.gate_launch("dev_multiply")?;
-        self.dev_multiply(plan, a, b, out, level);
-        Ok(())
-    }
-
-    fn try_dev_pointwise(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        rhs: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_pointwise", &[acc, rhs])?;
-        self.gate_launch("dev_pointwise")?;
-        self.dev_pointwise(plan, acc, rhs, level);
-        Ok(())
-    }
-
-    fn try_dev_fma(
-        &mut self,
-        plan: &RingPlan,
-        acc: DeviceBuf,
-        x: DeviceBuf,
-        y: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_fma", &[acc, x, y])?;
-        self.gate_launch("dev_fma")?;
-        self.dev_fma(plan, acc, x, y, level);
-        Ok(())
-    }
-
-    fn try_dev_rescale(
-        &mut self,
-        plan: &RingPlan,
-        buf: DeviceBuf,
-        level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_rescale", &[buf])?;
-        self.gate_launch("dev_rescale")?;
-        self.dev_rescale(plan, buf, level);
-        Ok(())
-    }
-
-    fn try_dev_decompose(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        digits: usize,
-        gadget_bits: u32,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_decompose", &[src, dst])?;
-        self.gate_launch("dev_decompose")?;
-        self.dev_decompose(plan, src, dst, level, digits, gadget_bits);
-        Ok(())
-    }
-
-    fn try_dev_automorphism(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        level: usize,
-        g: u64,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_automorphism", &[src, dst])?;
-        self.gate_launch("dev_automorphism")?;
-        self.dev_automorphism(plan, src, dst, level, g);
-        Ok(())
-    }
-
-    fn try_dev_modraise(
-        &mut self,
-        plan: &RingPlan,
-        src: DeviceBuf,
-        dst: DeviceBuf,
-        to_level: usize,
-    ) -> Result<(), BackendError> {
-        self.check_handles("dev_modraise", &[src, dst])?;
-        self.gate_launch("dev_modraise")?;
-        self.dev_modraise(plan, src, dst, to_level);
-        Ok(())
-    }
-}
-
-// ---- Sharded cross-row kernels -------------------------------------
-//
-// The single-device rescale/decompose/mod-raise kernels index the whole
-// operand; the sharded variants run on a shard-local row slice plus a
-// gathered copy of the rows the slice reads from other shards, with a
-// per-local-row map (the cyclic partition's stride-K progression)
-// restoring the global row index the math depends on. Per-lane
-// arithmetic is copied verbatim from the `backend.rs` kernels so shard
-// outputs stay bit-identical.
-
-/// Rescale on a shard-local slice of data rows, the dropped last row
-/// arriving as a separate (gathered) buffer.
-struct ShardRescaleKernel<'a> {
-    data: Buf,
-    last: Buf,
-    n: usize,
-    rows: usize,
-    /// `(p_last^{-1} mod p_i, p_i)` per *local* row (global slice
-    /// already applied by the caller).
-    inv_p: &'a [(u64, u64)],
-}
-
-impl WarpKernel for ShardRescaleKernel<'_> {
-    fn phases(&self) -> usize {
-        1
-    }
-
-    fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.rows * self.n;
-        let lanes = ctx.lanes();
-        let mut addr_x = vec![None; lanes];
-        let mut addr_l = vec![None; lanes];
-        let mut row = vec![0usize; lanes];
-        let mut active = 0u64;
-        for l in 0..lanes {
-            let gt = ctx.global_thread(l);
-            if gt >= total {
-                continue;
-            }
-            active += 1;
-            row[l] = gt / self.n;
-            addr_x[l] = Some(self.data.word(gt));
-            addr_l[l] = Some(self.last.word(gt % self.n));
-        }
-        if active == 0 {
-            return;
-        }
-        let (x, last) = ctx.gmem_load2(&addr_x, &addr_l);
-        let writes: Vec<Option<(usize, u64)>> = (0..lanes)
-            .map(|l| {
-                let xv = x[l]?;
-                let lv = last[l].expect("last row loaded");
-                let (inv, p) = self.inv_p[row[l]];
-                let diff = sub_mod(xv, lv % p, p);
-                Some((addr_x[l].expect("lane active"), mul_mod(diff, inv, p)))
-            })
-            .collect();
-        ctx.count_op(OpClass::NativeModMul, active);
-        ctx.count_op(OpClass::ModAddSub, active);
-        ctx.gmem_store(&writes);
-    }
-}
-
-/// Gadget digit decomposition writing a shard-local slice of the
-/// digit-poly rows, reading a gathered full `level × N` source.
-struct ShardDecomposeKernel<'a> {
-    src: Buf,
-    dst: Buf,
-    n: usize,
-    level: usize,
-    digits: usize,
-    gadget_bits: u32,
-    /// Global row index per local destination row (the shard's cyclic
-    /// stride-`K` progression).
-    rows: &'a [usize],
-}
-
-impl WarpKernel for ShardDecomposeKernel<'_> {
-    fn phases(&self) -> usize {
-        1
-    }
-
-    fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.rows.len() * self.n;
-        let mask = (1u64 << self.gadget_bits) - 1;
-        let lanes = ctx.lanes();
-        let mut addr_s = vec![None; lanes];
-        let mut shift = vec![0u32; lanes];
-        let mut active = 0u64;
-        for l in 0..lanes {
-            let gt = ctx.global_thread(l);
-            if gt >= total {
-                continue;
-            }
-            active += 1;
-            let poly = self.rows[gt / self.n] / self.level;
-            let (j, d) = (poly / self.digits, poly % self.digits);
-            let t = gt % self.n;
-            shift[l] = self.gadget_bits * d as u32;
-            addr_s[l] = Some(self.src.word(j * self.n + t));
-        }
-        if active == 0 {
-            return;
-        }
-        // Replicated rows re-read the same source words; the read-only
-        // path absorbs the repeats the way twiddle broadcasts do.
-        let vals = ctx.gmem_load_cached(&addr_s);
-        let writes: Vec<Option<(usize, u64)>> = (0..lanes)
-            .map(|l| {
-                let v = vals[l]?;
-                Some((self.dst.word(ctx.global_thread(l)), (v >> shift[l]) & mask))
-            })
-            .collect();
-        ctx.count_op(OpClass::Generic, active);
-        ctx.gmem_store(&writes);
-    }
-}
-
-/// Mod-raise writing a shard-local slice of the raised rows, reading
-/// the gathered single source row.
-struct ShardModRaiseKernel<'a> {
-    src: Buf,
-    dst: Buf,
-    n: usize,
-    /// Global row index (= prime index) per local destination row.
-    rows: &'a [usize],
-    p0: u64,
-    moduli: &'a [u64],
-}
-
-impl WarpKernel for ShardModRaiseKernel<'_> {
-    fn phases(&self) -> usize {
-        1
-    }
-
-    fn run_warp(&self, ctx: &mut WarpCtx<'_>) {
-        let total = self.rows.len() * self.n;
-        let half = self.p0 >> 1;
-        let lanes = ctx.lanes();
-        let mut addr_s = vec![None; lanes];
-        let mut prime = vec![0usize; lanes];
-        let mut active = 0u64;
-        for l in 0..lanes {
-            let gt = ctx.global_thread(l);
-            if gt >= total {
-                continue;
-            }
-            active += 1;
-            prime[l] = self.rows[gt / self.n];
-            addr_s[l] = Some(self.src.word(gt % self.n));
-        }
-        if active == 0 {
-            return;
-        }
-        let vals = ctx.gmem_load_cached(&addr_s);
-        let writes: Vec<Option<(usize, u64)>> = (0..lanes)
-            .map(|l| {
-                let v = vals[l]?;
-                let p = self.moduli[prime[l]];
-                let lifted = if v <= half {
-                    v % p
-                } else {
-                    neg_mod((self.p0 - v) % p, p)
-                };
-                Some((self.dst.word(ctx.global_thread(l)), lifted))
-            })
-            .collect();
-        ctx.count_op(OpClass::Generic, active);
-        ctx.gmem_store(&writes);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{lock, shard_rows};
     use crate::SimBackend;
-    use ntt_core::backend::Evaluator;
+    use ntt_core::backend::{Evaluator, LimbBatch, NttBackend, RingPlan};
     use ntt_core::{RnsPoly, RnsRing};
 
     fn ring(n: usize, np: usize) -> RnsRing {
@@ -1954,7 +907,7 @@ mod tests {
             let handle = sharded.memory_handle();
             let got = decompose(&mut sharded);
             assert_eq!(want, got, "decompose k={k}");
-            let link = lock_sharded(&handle).link_stats();
+            let link = lock(&handle).link_stats();
             if expect_link {
                 assert!(link.words > 0, "k={k} must all-gather over the link");
             } else {
@@ -2035,7 +988,7 @@ mod tests {
         ev.make_resident(&mut ra);
         let mut got = ev.multiply(&ra, &ra);
         got.sync();
-        assert_eq!(lock_sharded(&handle).link_stats(), LinkStats::default());
+        assert_eq!(lock(&handle).link_stats(), LinkStats::default());
     }
 
     #[test]
@@ -2062,7 +1015,7 @@ mod tests {
         ev.make_resident(&mut ra);
         let mut got = ev.multiply(&ra, &ra);
         got.sync();
-        let mut m = lock_sharded(&handle);
+        let mut m = lock(&handle);
         m.sync_all();
         let agg = m.timeline();
         let per: Vec<DeviceTimeline> = m.shard_timelines();

@@ -4,7 +4,7 @@
 //! must agree with the naive O(N²) oracle and with each other on random
 //! inputs, moduli, and shapes.
 
-use ntt_warp::core::{bitrev, ct, naive, radix, stockham, HierConfig, HierPlan, NttTable, OtTable};
+use ntt_warp::core::{ct, naive, radix, HierConfig, HierPlan, NttTable, OtTable};
 use proptest::prelude::*;
 
 /// Random (log_n, prime_bits) pairs small enough for quadratic oracles.
@@ -44,18 +44,6 @@ proptest! {
         ct::ntt_lazy(&mut lazy, &table);
         ct::reduce_from_lazy(&mut lazy, p);
         prop_assert_eq!(strict, lazy);
-    }
-
-    #[test]
-    fn stockham_equals_ct_up_to_bitrev((log_n, bits) in table_params(), seed in any::<u64>()) {
-        let n = 1usize << log_n;
-        let table = NttTable::new_with_bits(n, bits).unwrap();
-        let p = table.modulus();
-        let a: Vec<u64> = (0..n as u64).map(|i| (i ^ seed) % p).collect();
-        let sorted = stockham::stockham_ntt(&a, &table);
-        let mut ct_out = a;
-        ct::ntt(&mut ct_out, &table);
-        prop_assert_eq!(sorted, bitrev::bit_reversed(&ct_out));
     }
 
     #[test]
