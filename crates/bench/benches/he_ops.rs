@@ -61,6 +61,11 @@ fn bench_he(c: &mut Criterion) {
         b.iter(|| ctx.decrypt(black_box(&ct_a), &keys.secret))
     });
 
+    g.bench_function("decode", |b| {
+        let pt = ctx.decrypt(&ct_a, &keys.secret);
+        b.iter(|| ctx.decode(black_box(&pt)))
+    });
+
     g.bench_function("add", |b| b.iter(|| ctx.add(black_box(&ct_a), &ct_b)));
 
     g.bench_function("multiply_relinearize_rescale", |b| {

@@ -914,7 +914,7 @@ pub fn serve_fault_overhead(log_n: u32, jobs: usize) -> ServeFaultOverheadReport
             values: vec![1.0 + j as f64, -0.5 * j as f64],
         })
         .collect();
-    let chain = |group: &[EncryptJob]| -> Vec<Vec<f64>> {
+    let chain = |group: &[EncryptJob]| -> Vec<Option<Vec<f64>>> {
         ctx.try_with_pooled_evaluator(|ev| {
             let cts = batcher.try_encrypt_batch(&ctx, ev, group)?;
             let evald = batcher.try_eval_batch(

@@ -8,7 +8,7 @@
 use crate::backend::{lock_memory, same_memory, BackendError, DeviceBuf, SharedDeviceMemory};
 use crate::ct;
 use crate::hier::HierPlan;
-use crate::rns::{RnsBasis, RnsError};
+use crate::rns::{CrtLift, RnsBasis, RnsError};
 use crate::table::NttTable;
 use ntt_math::modops::{add_mod, neg_mod, sub_mod};
 use ntt_math::root::RootError;
@@ -272,6 +272,8 @@ pub struct RnsRing {
 struct RnsRingInner {
     rings: Vec<NegacyclicRing>,
     basis: RnsBasis,
+    /// Centered-lift constants for every level (read by decode).
+    crt: CrtLift,
     /// Plan-time pointwise strategy per prime, computed once on first
     /// [`RnsRing::plan`] call (see `crate::backend`).
     strategies: std::sync::OnceLock<std::sync::Arc<[crate::backend::PointwiseStrategy]>>,
@@ -283,8 +285,14 @@ impl RnsRing {
     /// # Errors
     ///
     /// Propagates prime/root failures from ring and basis construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a prime is not below `2^63` (the bound of the word-sized
+    /// CRT lift that decode uses).
     pub fn new(n: usize, primes: Vec<u64>) -> Result<Self, RingError> {
         let basis = RnsBasis::new(primes.clone())?;
+        let crt = CrtLift::new(&primes);
         let rings = primes
             .into_iter()
             .map(|p| NegacyclicRing::new(n, p))
@@ -293,6 +301,7 @@ impl RnsRing {
             inner: std::sync::Arc::new(RnsRingInner {
                 rings,
                 basis,
+                crt,
                 strategies: std::sync::OnceLock::new(),
             }),
         })
@@ -1090,24 +1099,58 @@ impl RnsPoly {
         self.data.truncate(self.level * self.n);
     }
 
-    /// CRT-reconstruct coefficient `idx` across active primes, centered.
+    /// The centered value of coefficient `idx` across the active primes:
+    /// the representative in `(-Q/2, Q/2]`, or `None` outside
+    /// `(-2^127, 2^127)`.
     ///
-    /// Only meaningful in coefficient form; `None` if it overflows `i128`.
+    /// One lift through the ring's cached constants, `O(level²)` word
+    /// products and no allocation — the same path as
+    /// [`RnsPoly::centered_coefficients`], bit-identical to the BigUint
+    /// oracle [`RnsBasis::reconstruct_centered`] over the level's primes.
     ///
     /// # Panics
     ///
-    /// Panics if in evaluation form or `idx >= N`.
+    /// Panics if in evaluation form, on a stale host read, or if
+    /// `idx >= N`.
     pub fn coefficient_centered(&self, ring: &RnsRing, idx: usize) -> Option<i128> {
+        assert!(idx < self.n, "coefficient index out of range");
+        let mut digits = self.lift_scratch();
+        self.lift(ring, idx, &mut digits)
+    }
+
+    /// The centered value of every coefficient, in order (see
+    /// [`RnsPoly::coefficient_centered`]). This is the bulk decode path:
+    /// one scratch allocation per call, then `O(level²)` word products
+    /// per coefficient against constants cached on the ring.
+    ///
+    /// # Panics
+    ///
+    /// Panics if in evaluation form or on a stale host read.
+    pub fn centered_coefficients<'a>(
+        &'a self,
+        ring: &'a RnsRing,
+    ) -> impl Iterator<Item = Option<i128>> + 'a {
+        let mut digits = self.lift_scratch();
+        (0..self.n).map(move |idx| self.lift(ring, idx, &mut digits))
+    }
+
+    /// A residue buffer for [`RnsPoly::lift`], after checking the host rows
+    /// are readable coefficients.
+    fn lift_scratch(&self) -> Vec<u64> {
         assert_eq!(
             self.repr,
             Representation::Coefficient,
             "reconstruction requires coefficient form"
         );
-        assert!(idx < self.n, "coefficient index out of range");
-        let residues: Vec<u64> = (0..self.level).map(|i| self.row(i)[idx]).collect();
-        let basis = RnsBasis::new(ring.basis().primes()[..self.level].to_vec())
-            .expect("prefix of a valid basis is valid");
-        basis.reconstruct_centered(&residues)
+        self.assert_host_fresh();
+        vec![0; self.level]
+    }
+
+    fn lift(&self, ring: &RnsRing, idx: usize, digits: &mut [u64]) -> Option<i128> {
+        for (i, d) in digits.iter_mut().enumerate() {
+            *d = self.data[i * self.n + idx];
+        }
+        ring.inner.crt.centered(digits)
     }
 }
 

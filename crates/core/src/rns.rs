@@ -5,8 +5,18 @@
 //! This module provides the basis bookkeeping, forward decomposition, and
 //! CRT reconstruction `x = Σ_i (x_i · ŷ_i mod p_i) · M_i mod M` used to
 //! read results back out.
+//!
+//! Two readers share one contract. [`RnsBasis::reconstruct_centered`] is
+//! the BigUint reference. `CrtLift`, cached on every
+//! [`RnsRing`](crate::RnsRing) and read through
+//! [`RnsPoly::centered_coefficients`](crate::RnsPoly::centered_coefficients),
+//! is the word-sized path every decode takes: Garner's mixed-radix
+//! conversion with constants computed once per ring, then a sign test and
+//! a checked `u128` evaluation. It returns the same `Some`/`None` on every
+//! input.
 
-use ntt_math::{inv_mod, BigUint};
+use ntt_math::modops::sub_mod;
+use ntt_math::{inv_mod, mul_mod, BigUint, ShoupMul};
 
 /// An RNS basis: distinct primes and the precomputed CRT constants.
 ///
@@ -145,13 +155,134 @@ impl RnsBasis {
         acc.rem(&self.modulus)
     }
 
-    /// CRT reconstruction followed by a centered lift to `i128`
-    /// (for reading small signed results out of HE pipelines).
+    /// CRT reconstruction followed by a centered lift to `i128`: the
+    /// value in `(-Q/2, Q/2]` congruent to the residues.
     ///
-    /// Returns `None` when the centered value does not fit `i128`.
+    /// Returns `None` when that value lies outside `(-2^127, 2^127)`, so
+    /// `-2^127` itself is `None` too.
+    ///
+    /// This is the test oracle for
+    /// [`RnsPoly::centered_coefficients`](crate::RnsPoly::centered_coefficients),
+    /// which every decode path uses instead. Each call allocates several
+    /// BigUints and does a multi-word `rem` by `Q`: far too slow to run
+    /// per coefficient.
     pub fn reconstruct_centered(&self, residues: &[u64]) -> Option<i128> {
         self.reconstruct(residues).to_i128_centered(&self.modulus)
     }
+}
+
+/// Word-sized constants for the centered CRT lift of every prefix
+/// `p_0⋯p_{L-1}` of one prime chain, built once per ring.
+///
+/// A coefficient `x mod Q_L` is first put in mixed radix,
+/// `x = v_0 + v_1·p_0 + v_2·p_0·p_1 + … + v_{L-1}·p_0⋯p_{L-2}` with
+/// `0 ≤ v_j < p_j`, by Garner's rule in `O(L²)` Shoup products. Mixed-radix
+/// digits compare like ordinary digits, so `x > ⌊(Q_L-1)/2⌋` (a negative
+/// value) is a most-significant-first comparison against the digits of
+/// the half modulus. Complementing digits, `p_j - 1 - v_j`, turns `x` into
+/// `Q_L - 1 - x`. The magnitude is then evaluated by Horner's rule in
+/// checked `u128`.
+///
+/// Garner's digits `v_0..v_{L-1}` depend only on `p_0..p_{L-1}`, so one
+/// table serves every level; only the half-modulus digits are per level.
+/// The tables hold `O(np²)` words and nothing is allocated per call.
+#[derive(Debug, Clone)]
+pub(crate) struct CrtLift {
+    primes: Vec<u64>,
+    /// `radix[j·np + i] = p_i mod p_j`: the multipliers of the Horner
+    /// evaluation of `x mod p_j` (only `i < j` is read).
+    radix: Vec<ShoupMul>,
+    /// `(p_0⋯p_{j-1})^{-1} mod p_j` (1 for `j = 0`).
+    garner: Vec<ShoupMul>,
+    /// `half[(L-1)·np..][..L]`: the mixed-radix digits of `⌊(Q_L-1)/2⌋`.
+    half: Vec<u64>,
+}
+
+impl CrtLift {
+    /// Build the tables for a chain of distinct primes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a prime is not below `2^63` (the Shoup-product bound) or
+    /// two primes are equal.
+    pub(crate) fn new(primes: &[u64]) -> Self {
+        let np = primes.len();
+        let mut radix = Vec::with_capacity(np * np);
+        let mut garner = Vec::with_capacity(np);
+        let mut half = vec![0; np * np];
+        for (j, &pj) in primes.iter().enumerate() {
+            assert!(pj < 1 << 63, "CRT lift needs primes below 2^63");
+            radix.extend(primes.iter().map(|&pi| ShoupMul::new(pi % pj, pj)));
+            let prefix = primes[..j]
+                .iter()
+                .fold(1, |acc, &pi| mul_mod(acc, pi % pj, pj));
+            let inv = inv_mod(prefix, pj).expect("distinct primes are coprime");
+            garner.push(ShoupMul::new(inv, pj));
+
+            // Q_L - 1 (L = j + 1) has digits p_i - 1; halve them most
+            // significant first, carrying an odd remainder down as p_i
+            // units of the next digit.
+            let digits = &mut half[j * np..][..=j];
+            let mut carry = 0u128;
+            for (i, d) in digits.iter_mut().enumerate().rev() {
+                let t = carry * u128::from(primes[i]) + u128::from(primes[i] - 1);
+                *d = (t / 2) as u64;
+                carry = t % 2;
+            }
+            debug_assert_eq!(carry, 0, "Q is odd, so Q - 1 halves exactly");
+        }
+        Self {
+            primes: primes.to_vec(),
+            radix,
+            garner,
+            half,
+        }
+    }
+
+    /// The centered value of the residues in `digits` (one per prime of
+    /// the level `digits.len()`), exactly as
+    /// [`RnsBasis::reconstruct_centered`] over that prefix would return
+    /// it. The residues are overwritten with the mixed-radix digits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `digits` is empty or longer than the chain.
+    pub(crate) fn centered(&self, digits: &mut [u64]) -> Option<i128> {
+        let (np, level) = (self.primes.len(), digits.len());
+        assert!(level >= 1 && level <= np, "invalid level");
+        for j in 0..level {
+            // x mod p_j over the digits found so far, by Horner's rule.
+            // Terms stay below p_i + p_j < 2^64 and Shoup products accept
+            // any word, so no reduction is needed until the last step.
+            let radix = &self.radix[j * np..][..j];
+            let acc = (digits[..j].iter().zip(radix))
+                .rev()
+                .fold(0, |acc, (&d, r)| r.mul(acc) + d);
+            let g = &self.garner[j];
+            digits[j] = sub_mod(g.mul(digits[j]), g.mul(acc), self.primes[j]);
+        }
+        let half = &self.half[(level - 1) * np..][..level];
+        let negative = digits.iter().rev().cmp(half.iter().rev()).is_gt();
+        let primes = &self.primes[..level];
+        if negative {
+            // Q - x = (Q - 1 - x) + 1, and -(i128::MAX + 1) is refused
+            // like the oracle refuses it.
+            let m = mixed_radix_value(primes, |j| primes[j] - 1 - digits[j])?;
+            Some(-i128::try_from(m).ok()?.checked_add(1)?)
+        } else {
+            i128::try_from(mixed_radix_value(primes, |j| digits[j])?).ok()
+        }
+    }
+}
+
+/// `Σ_j digit(j)·p_0⋯p_{j-1}` by Horner's rule, most significant digit
+/// first; `None` if it exceeds `u128`.
+#[inline]
+fn mixed_radix_value(primes: &[u64], digit: impl Fn(usize) -> u64) -> Option<u128> {
+    (0..primes.len()).rev().try_fold(0u128, |m, j| {
+        m.checked_mul(u128::from(primes[j]))?
+            .checked_add(u128::from(digit(j)))
+    })
 }
 
 /// Errors from RNS basis construction.

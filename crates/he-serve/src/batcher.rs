@@ -279,7 +279,8 @@ impl Batcher {
     ///
     /// # Panics
     ///
-    /// Panics if the group mixes levels.
+    /// Panics if the group mixes levels, or, like `decode`, if a job's
+    /// plaintext has a coefficient that does not fit `i128`.
     pub fn decrypt_batch(
         &self,
         ctx: &HeContext,
@@ -288,16 +289,23 @@ impl Batcher {
     ) -> Vec<Vec<f64>> {
         self.try_decrypt_batch(ctx, ev, cts)
             .expect("backend without a fault surface never fails")
+            .into_iter()
+            .map(|out| out.expect("plaintext coefficients fit i128"))
+            .collect()
     }
 
     /// Fallible [`Batcher::decrypt_batch`] (see
-    /// [`Batcher::try_eval_batch`] for the retry contract).
+    /// [`Batcher::try_eval_batch`] for the retry contract). A job is
+    /// `None` when its plaintext has a coefficient whose centered value
+    /// does not fit `i128` — a ciphertext under a foreign key, or a
+    /// corrupted one. That fails only that job; its batch-mates decode
+    /// as usual.
     pub fn try_decrypt_batch(
         &self,
         ctx: &HeContext,
         ev: &mut Evaluator,
         mut cts: Vec<Ciphertext>,
-    ) -> Result<Vec<Vec<f64>>, BackendError> {
+    ) -> Result<Vec<Option<Vec<f64>>>, BackendError> {
         if cts.is_empty() {
             return Ok(Vec::new());
         }
@@ -333,13 +341,8 @@ impl Batcher {
             .enumerate()
             .map(|(j, ct)| {
                 let m = poly_from_rows(ring, level, coef, &acc[j * stride..][..stride]);
-                (0..n)
-                    .map(|i| {
-                        let v = m
-                            .coefficient_centered(ring, i)
-                            .expect("plaintext coefficients fit i128");
-                        v as f64 / ct.scale()
-                    })
+                m.centered_coefficients(ring)
+                    .map(|v| Some(v? as f64 / ct.scale()))
                     .collect()
             })
             .collect())
@@ -404,5 +407,28 @@ mod tests {
                 assert!((got - want).abs() < 1e-2, "decrypted {got}, wanted {want}");
             }
         }
+    }
+
+    #[test]
+    fn undecodable_job_fails_alone_in_its_group() {
+        let ctx = ctx();
+        let keys = ctx.keygen(&mut sampling::seeded_rng(41));
+        let foreign = ctx.keygen(&mut sampling::seeded_rng(42));
+        let batcher = Batcher::new(&keys);
+        let pt = ctx.encode(&[1.5, -2.0]);
+        let mut rng = sampling::seeded_rng(43);
+        let good = ctx.encrypt(&pt, &keys.public, &mut rng);
+        let bad = ctx.encrypt(&pt, &foreign.public, &mut rng);
+        let (mixed, solo) = ctx.with_pooled_evaluator(|ev| {
+            let mixed = batcher.try_decrypt_batch(&ctx, ev, vec![bad.clone(), good.clone(), bad]);
+            (mixed, batcher.try_decrypt_batch(&ctx, ev, vec![good]))
+        });
+        let (mixed, solo) = (mixed.unwrap(), solo.unwrap());
+        assert!(
+            mixed[0].is_none() && mixed[2].is_none(),
+            "foreign key decoded"
+        );
+        assert_eq!(mixed[1], solo[0], "a bad batch-mate changed the bits");
+        assert!(solo[0].is_some());
     }
 }

@@ -48,6 +48,9 @@
 //! * **Deadlines & cancellation** — [`ServeConfig::deadline`] bounds
 //!   queue-to-answer time; [`Ticket::cancel`] drops a queued job. Both
 //!   answer [`ServeError`] variants, never silence.
+//! * **Undecodable input** — a decrypt under a foreign key (or of a
+//!   corrupted ciphertext) fails only its own job with
+//!   [`ServeError::Undecodable`]; the rest of its batch is answered.
 //!
 //! Every admitted job is answered exactly once: a success, or a
 //! [`Response::Failed`] carrying a classified [`ServeError`] — the

@@ -110,16 +110,21 @@ pub enum ServeError {
     /// The job's [`Ticket`](crate::Ticket) was cancelled before it
     /// executed.
     Cancelled,
+    /// A decrypt whose plaintext has a coefficient too large to decode
+    /// (its centered value does not fit `i128`): the ciphertext was not
+    /// encrypted under this server's key, or it is corrupted. Only this
+    /// job fails; its batch-mates are answered as usual.
+    Undecodable,
 }
 
 impl ServeError {
-    /// The fault class for metrics, or `None` for a cancellation (which
-    /// is a caller decision, not a fault).
+    /// The fault class for metrics, or `None` for a cancellation or an
+    /// undecodable input (the caller's doing, not a fault).
     pub fn fault_class(&self) -> Option<FaultClass> {
         match self {
             ServeError::Fault { error, .. } => Some(error.class()),
             ServeError::DeadlineExceeded => Some(FaultClass::Deadline),
-            ServeError::Cancelled => None,
+            ServeError::Cancelled | ServeError::Undecodable => None,
         }
     }
 }
@@ -132,6 +137,12 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::DeadlineExceeded => write!(f, "deadline exceeded"),
             ServeError::Cancelled => write!(f, "cancelled by caller"),
+            ServeError::Undecodable => {
+                write!(
+                    f,
+                    "plaintext does not decode (foreign key or corrupted ciphertext)"
+                )
+            }
         }
     }
 }

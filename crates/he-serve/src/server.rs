@@ -534,7 +534,10 @@ impl ServerInner {
                     }
                     drop(m);
                     for (job, response) in live.into_iter().zip(responses) {
-                        outcomes.push(self.answer_ok(job, response));
+                        outcomes.push(match response {
+                            Response::Failed(err) => self.answer_failed(job, err),
+                            response => self.answer_ok(job, response),
+                        });
                     }
                     return outcomes;
                 }
@@ -575,7 +578,9 @@ impl ServerInner {
 
     /// Dispatch one homogeneous group on `ev` through the batcher's
     /// fallible pipelines. Inputs are cloned per attempt, so a retry (or
-    /// the fallback) re-runs the identical batch.
+    /// the fallback) re-runs the identical batch. A job the batch ran but
+    /// cannot answer (an undecodable decrypt) comes back as
+    /// [`Response::Failed`].
     fn run_batch(&self, ev: &mut Evaluator, jobs: &[Job]) -> Result<Vec<Response>, BackendError> {
         let domain = self.config.key_seed;
         match jobs[0].request {
@@ -630,7 +635,10 @@ impl ServerInner {
                     .batcher
                     .try_decrypt_batch(&self.ctx, ev, batch)?
                     .into_iter()
-                    .map(Response::Decrypted)
+                    .map(|out| match out {
+                        Some(values) => Response::Decrypted(values),
+                        None => Response::Failed(ServeError::Undecodable),
+                    })
                     .collect())
             }
             Request::Boot { .. } => {
@@ -724,14 +732,14 @@ impl ServerInner {
                     m.faults.record(FaultClass::Deadline);
                 }
                 ServeError::Cancelled => m.cancelled += 1,
-                ServeError::Fault { .. } => {}
+                ServeError::Fault { .. } | ServeError::Undecodable => {}
             }
             m.tenants.entry(job.tenant.0).or_default().failed += 1;
         }
         let outcome = JobOutcome {
             tenant: job.tenant,
             cost: job.request.cost(),
-            executed: matches!(err, ServeError::Fault { .. }),
+            executed: matches!(err, ServeError::Fault { .. } | ServeError::Undecodable),
         };
         let _ = job.reply.send(Completed {
             response: Response::Failed(err),

@@ -882,21 +882,22 @@ impl HeContext {
         }
     }
 
-    /// Decode the first `k` coefficients back to reals (`k` = number of
-    /// coefficients that were encoded; here we return all of them). An
-    /// explicit sync point: device-resident plaintexts are downloaded
-    /// here.
+    /// Decode all `N` coefficients back to reals (centered lift, divided
+    /// by the plaintext's scale), in one bulk pass over
+    /// [`RnsPoly::centered_coefficients`]. An explicit sync point:
+    /// device-resident plaintexts are downloaded here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coefficient's centered value does not fit `i128`,
+    /// which is what decrypting under the wrong key or a corrupted
+    /// ciphertext produces.
     pub fn decode(&self, pt: &Plaintext) -> Vec<f64> {
         let mut m = pt.m.clone();
         self.with_eval(|st| st.ev.to_coefficient(&mut m));
         m.sync();
-        (0..self.params.n())
-            .map(|i| {
-                let v = m
-                    .coefficient_centered(&self.ring, i)
-                    .expect("plaintext coefficients fit i128");
-                v as f64 / pt.scale
-            })
+        m.centered_coefficients(&self.ring)
+            .map(|v| v.expect("plaintext coefficients fit i128") as f64 / pt.scale)
             .collect()
     }
 

@@ -40,6 +40,12 @@
 #     the auto-routed forward stays within 5% of the best single kernel
 #     (auto <= 1.05 * best_single_kernel) -- the 4-step rollout cannot
 #     regress the mid-size rings it should lose on;
+#   * host decode stays off the critical path: one he-lite decode of
+#     all N coefficients (the bulk centered CRT lift) costs no more than
+#     one multiply/relinearize/rescale in the same run
+#     (decode <= 1.0 * multiply_relinearize_rescale; the per-coefficient
+#     BigUint reconstruction it replaced measured ~70% of a CPU
+#     key-switch chain);
 #   * multi-device sharding scales: the same deep-chain multiply/
 #     relinearize/rescale job on 4 simulated devices (cyclic RNS row
 #     partition, key-switch all-gather over the modeled link) finishes
@@ -81,6 +87,7 @@ else
         --gate "rns_multiply_n8192_np8/fused_1thread<=0.6*rns_multiply_n8192_np8/strict_legacy" \
         --gate "cpu_ntt_pipeline/negacyclic_multiply_4096<=1.15*cpu_ntt_pipeline/negacyclic_multiply_strict_4096" \
         --gate "he_lite_n2048_l3/multiply_relinearize_rescale<=80*he_lite_n2048_l3/forward_ntt_all_primes" \
+        --gate "he_lite_n2048_l3/decode<=1.0*he_lite_n2048_l3/multiply_relinearize_rescale" \
         --gate "he_lite_sim_n256_l3/steady_transfers_plus_one<=1.0*he_lite_sim_n256_l3/unit" \
         --gate "sim_streams_4ev/overlapped_device_time<=0.77*sim_streams_4ev/serialized_device_time" \
         --gate "he_serve_sim/batched_device_time<=0.667*he_serve_sim/unbatched_device_time" \

@@ -4,7 +4,7 @@
 //! backends.
 
 use he_serve::{
-    job_seed, Batcher, EncryptJob, FairQueue, HeServer, Request, Response, ServeConfig,
+    job_seed, Batcher, EncryptJob, FairQueue, HeServer, Request, Response, ServeConfig, ServeError,
     SubmitError, TenantId,
 };
 use ntt_warp::he::{sampling, HeContext, HeLiteParams};
@@ -272,4 +272,80 @@ fn eval_at_last_level_is_rejected_as_invalid() {
     }
     let snap = server.shutdown();
     assert_eq!(snap.completed(), 3, "three valid jobs answered");
+}
+
+/// A decrypt the server cannot decode — a ciphertext under a foreign key
+/// decrypts to coefficients uniform mod Q ≈ 2^150, far outside `i128` —
+/// fails only its own job with [`ServeError::Undecodable`]. The valid
+/// decrypt submitted with it (one worker, queued behind an encrypt, so
+/// both drain into one decrypt group) is answered bit-identically to a
+/// solo decrypt, and no dispatch panics.
+#[test]
+fn foreign_key_decrypt_fails_only_its_own_job() {
+    let ctx = HeContext::new(serve_params()).expect("context builds");
+    let server = HeServer::start(
+        ctx,
+        ServeConfig {
+            workers: 1,
+            key_seed: 7,
+            ..ServeConfig::default()
+        },
+    );
+    let wait = |ticket: he_serve::Ticket| ticket.wait().expect("server answers").response;
+    let values = vec![1.25, -3.5];
+    let encrypt = || Request::Encrypt {
+        values: values.clone(),
+    };
+    let Response::Encrypted(valid) = wait(server.submit(TenantId(0), encrypt()).unwrap()) else {
+        panic!("expected Encrypted");
+    };
+    let foreign = {
+        let other = HeContext::new(serve_params()).expect("context builds");
+        let keys = other.keygen(&mut sampling::seeded_rng(8));
+        other.encrypt(
+            &other.encode(&values),
+            &keys.public,
+            &mut sampling::seeded_rng(9),
+        )
+    };
+
+    let blocker = server.submit(TenantId(0), encrypt()).unwrap();
+    let good = server
+        .submit(TenantId(1), Request::Decrypt { ct: valid.clone() })
+        .unwrap();
+    let bad = server
+        .submit(TenantId(2), Request::Decrypt { ct: foreign })
+        .unwrap();
+    assert!(matches!(wait(blocker), Response::Encrypted(_)));
+    let Response::Decrypted(got) = wait(good) else {
+        panic!("valid decrypt was not answered");
+    };
+    match wait(bad) {
+        Response::Failed(ServeError::Undecodable) => {}
+        other => panic!("expected Undecodable, got {other:?}"),
+    }
+    let Response::Decrypted(solo) = wait(
+        server
+            .submit(TenantId(1), Request::Decrypt { ct: valid })
+            .unwrap(),
+    ) else {
+        panic!("solo decrypt was not answered");
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&got),
+        bits(&solo),
+        "co-batched decrypt changed the bits"
+    );
+    for (g, want) in got.iter().zip(&values) {
+        assert!((g - want).abs() < 1e-2, "decrypted {g}, wanted {want}");
+    }
+
+    let snap = server.shutdown();
+    assert_eq!(
+        snap.worker_panics, 0,
+        "an undecodable job panicked a dispatch"
+    );
+    assert_eq!(snap.failed(), 1, "only the foreign decrypt failed");
+    assert_eq!(snap.completed(), 4, "every other job was answered");
 }
